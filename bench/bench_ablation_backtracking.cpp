@@ -23,14 +23,14 @@ int main(int argc, char** argv) {
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
     FlowConfig on;
-    const FlowResult ra = runEplaceFlow(a, on);
+    const FlowResult ra = *runSupervisedFlow(a, on, plainPolicy());
     btPerIter += static_cast<double>(ra.mgpResult.backtracks) /
                  std::max(1, ra.mgpResult.iterations);
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig off;
     off.gp.enableBacktracking = false;
-    const FlowResult rb = runEplaceFlow(b, off);
+    const FlowResult rb = *runSupervisedFlow(b, off, plainPolicy());
     if (!rb.mgpResult.converged) ++failures;
 
     with.push_back(ra.finalScaledHpwl);

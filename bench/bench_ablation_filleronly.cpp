@@ -18,12 +18,12 @@ int main(int argc, char** argv) {
   std::vector<double> with, without;
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
-    const FlowResult ra = runEplaceFlow(a);
+    const FlowResult ra = *runSupervisedFlow(a, {}, plainPolicy());
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig off;
     off.enableFillerOnly = false;
-    const FlowResult rb = runEplaceFlow(b, off);
+    const FlowResult rb = *runSupervisedFlow(b, off, plainPolicy());
 
     with.push_back(ra.finalScaledHpwl);
     without.push_back(rb.finalScaledHpwl);

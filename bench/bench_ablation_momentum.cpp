@@ -18,12 +18,12 @@ int main(int argc, char** argv) {
   std::vector<double> nIt, gIt, nWl, gWl;
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
-    const FlowResult ra = runEplaceFlow(a);
+    const FlowResult ra = *runSupervisedFlow(a, {}, plainPolicy());
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig off;
     off.gp.enableMomentum = false;
-    const FlowResult rb = runEplaceFlow(b, off);
+    const FlowResult rb = *runSupervisedFlow(b, off, plainPolicy());
 
     nIt.push_back(ra.mgpResult.iterations);
     gIt.push_back(rb.mgpResult.iterations);

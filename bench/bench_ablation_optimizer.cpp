@@ -49,13 +49,13 @@ int main(int argc, char** argv) {
       Timer t;
       FlowConfig cfg;
       cfg.gp.enableMomentum = false;
-      runEplaceFlow(db, cfg);
+      runSupervisedFlow(db, cfg, plainPolicy());
       m[2] = measure(db, t.seconds());
     }
     {
       PlacementDB db = generateCircuit(spec);
       Timer t;
-      runEplaceFlow(db);
+      runSupervisedFlow(db, {}, plainPolicy());
       m[3] = measure(db, t.seconds());
     }
     bc.push_back(m[0].hpwl);

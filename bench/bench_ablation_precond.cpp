@@ -21,12 +21,12 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
-    const FlowResult ra = runEplaceFlow(a);
+    const FlowResult ra = *runSupervisedFlow(a, {}, plainPolicy());
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig off;
     off.gp.enablePreconditioner = false;
-    const FlowResult rb = runEplaceFlow(b, off);
+    const FlowResult rb = *runSupervisedFlow(b, off, plainPolicy());
     if (!rb.mgpResult.converged) ++failures;
 
     with.push_back(ra.finalScaledHpwl);

@@ -19,13 +19,13 @@ int main(int argc, char** argv) {
   std::vector<double> plain, rotated;
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
-    const FlowResult ra = runEplaceFlow(a);
+    const FlowResult ra = *runSupervisedFlow(a, {}, plainPolicy());
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig cfg;
     cfg.mlg.allowRotation = true;
     cfg.mlg.allowFlipping = true;
-    const FlowResult rb = runEplaceFlow(b, cfg);
+    const FlowResult rb = *runSupervisedFlow(b, cfg, plainPolicy());
 
     plain.push_back(ra.finalScaledHpwl);
     rotated.push_back(rb.finalScaledHpwl);

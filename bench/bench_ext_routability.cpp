@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
     spec.locality = 0.9;
     spec.seed = 100 + static_cast<std::uint64_t>(i);
     PlacementDB db = generateCircuit(spec);
-    runEplaceFlow(db);
+    runSupervisedFlow(db, {}, plainPolicy());
     const RoutabilityResult res = routabilityDrivenRefine(db);
     std::printf("%-16s %12.4g %12.4g %12.4g %12.4g %8s\n", spec.name.c_str(),
                 res.hotspotBefore, res.hotspotAfter, res.hpwlBefore,

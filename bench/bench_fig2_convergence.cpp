@@ -47,7 +47,8 @@ int main() {
     ++global;
   };
 
-  const FlowResult res = runEplaceFlow(db, cfg, &ctx);
+  const FlowResult res =
+      *runSupervisedFlow(db, cfg, plainPolicy(), nullptr, &ctx);
 
   std::printf("=== Fig. 2: HPWL / overlap per stage (mms_adaptec1s) ===\n");
   std::printf("%-6s %12s %12s %10s\n", "stage", "HPWL", "OVLP", "overflow");

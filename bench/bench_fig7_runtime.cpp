@@ -17,12 +17,13 @@ int main(int argc, char** argv) {
   double inner[3] = {};  // density, wirelength, other
   for (const auto& spec : suite) {
     PlacementDB db = generateCircuit(spec);
-    const FlowResult res = runEplaceFlow(db);
-    stage[0] += res.stageSeconds.get("mIP");
-    stage[1] += res.stageSeconds.get("mGP");
-    stage[2] += res.stageSeconds.get("mLG");
-    stage[3] += res.stageSeconds.get("cGP");
-    stage[4] += res.stageSeconds.get("cDP");
+    const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+    stage[0] += res.mip.seconds;
+    stage[1] += res.mgp.seconds;
+    for (const LevelMetrics& lm : res.mgpLevels) stage[1] += lm.metrics.seconds;
+    stage[2] += res.mlg.seconds;
+    stage[3] += res.cgp.seconds;
+    stage[4] += res.cdp.seconds;
     inner[0] += res.mgpInner.get("density");
     inner[1] += res.mgpInner.get("wirelength");
     inner[2] += res.mgpInner.get("other");

@@ -330,7 +330,8 @@ int main(int argc, char** argv) {
     RuntimeContext ctx(nt);
     PlacementDB run = generateCircuit(flowSpec);
     const std::uint64_t a0 = allocCount();
-    const FlowResult res = runEplaceFlow(run, flowCfg, &ctx);
+    const FlowResult res =
+        *runSupervisedFlow(run, flowCfg, plainPolicy(), nullptr, &ctx);
     const std::uint64_t flowAllocs = allocCount() - a0;
     // Accumulate a structured run record per thread count so regression
     // tooling can diff bench runs the same way it diffs CLI/serve runs.

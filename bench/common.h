@@ -11,7 +11,7 @@
 #include "baseline/bell.h"
 #include "baseline/mincut.h"
 #include "baseline/quadratic.h"
-#include "eplace/flow.h"
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "gen/suites.h"
@@ -59,7 +59,7 @@ inline RunMetrics measure(const PlacementDB& db, double seconds) {
 inline RunMetrics runEplace(const GenSpec& spec) {
   PlacementDB db = generateCircuit(spec);
   Timer t;
-  runEplaceFlow(db);
+  runSupervisedFlow(db, {}, plainPolicy());
   return measure(db, t.seconds());
 }
 

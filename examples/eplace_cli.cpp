@@ -8,8 +8,9 @@
 //     --checkpoint-every <n> rollback checkpoint cadence in GP iterations
 //     --time-budget <sec>    wall-clock watchdog per placement stage
 //     --max-recoveries <n>   rollback attempts before graceful degradation
-//     --supervised           run under the FlowSupervisor (per-stage retry,
-//                            fallback and invariant gates)
+//     --supervised           the default supervisor policy (per-stage retry
+//                            and fallbacks) instead of the plain one-attempt
+//                            policy
 //     --snapshot-dir <dir>   write durable snapshots there (implies
 //                            --supervised)
 //     --save-every <n>       GP iterations between mid-stage snapshots
@@ -126,16 +127,15 @@ int place(ep::RuntimeContext& ctx, ep::PlacementDB& db,
           const std::string& plotPath, bool supervised,
           const ep::SupervisorConfig& sup, const std::string& recordOut) {
   ep::SupervisorReport report;
-  const ep::StatusOr<ep::FlowResult> run =
-      supervised ? ep::runSupervisedFlow(db, cfg, sup, &report, &ctx)
-                 : ep::runEplaceFlowChecked(db, cfg, &ctx);
+  const ep::StatusOr<ep::FlowResult> run = ep::runSupervisedFlow(
+      db, cfg, supervised ? sup : ep::plainPolicy(), &report, &ctx);
   if (!run.ok()) {
     std::fprintf(stderr, "error: %s\n", run.status().toString().c_str());
     return exitCodeFor(run.status().code());
   }
   if (!recordOut.empty()) {
-    const ep::RunRecord rec = ep::buildRunRecord(
-        db, *run, supervised ? &report : nullptr, &ctx, supervised);
+    const ep::RunRecord rec =
+        ep::buildRunRecord(db, *run, &report, &ctx, supervised);
     const ep::Status wr = ep::writeRunRecordFile(recordOut, rec, &ctx.faults());
     if (!wr.ok()) {
       std::fprintf(stderr, "record write failed: %s\n", wr.toString().c_str());
@@ -143,7 +143,7 @@ int place(ep::RuntimeContext& ctx, ep::PlacementDB& db,
     }
     std::printf("wrote %s\n", recordOut.c_str());
   }
-  if (supervised) std::printf("%s\n", report.summary().c_str());
+  std::printf("%s\n", report.summary().c_str());
   const ep::FlowResult& res = *run;
   std::printf("%s: HPWL %.6g (scaled %.6g), overflow %.4f, legal=%s, %.2fs\n",
               db.name.c_str(), res.finalHpwl, res.finalScaledHpwl,

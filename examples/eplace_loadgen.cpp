@@ -221,10 +221,10 @@ int main(int argc, char** argv) {
     spec.name = std::string(roleName(role)) + "_" + std::to_string(i);
 
     if (role == Role::kMalformed) {
-      ep::serve::JsonValue req = ep::serve::JsonValue::object();
-      req.set("op", ep::serve::JsonValue::str("submit"));
+      ep::JsonValue req = ep::JsonValue::object();
+      req.set("op", ep::JsonValue::str("submit"));
       req.set("job", ep::serve::jobSpecToJson(spec));
-      const std::string bad = malformedLine(rng, ep::serve::writeJson(req));
+      const std::string bad = malformedLine(rng, ep::writeJson(req));
       ++malformedSent;
       const auto raw = client.callRaw(bad, 30.0);
       if (!raw.ok()) {
@@ -237,7 +237,7 @@ int main(int argc, char** argv) {
         ++malformedTypedRejections;
         continue;
       }
-      const auto resp = ep::serve::parseJson(*raw);
+      const auto resp = ep::parseJson(*raw);
       if (!resp.ok() || resp->getBool("ok", true)) {
         // A mutated line can still be a VALID submit — accept that case.
         if (resp.ok() && resp->getBool("ok", false) &&
@@ -363,7 +363,7 @@ int main(int argc, char** argv) {
     std::printf("daemon queue %g/%g, counters: %s\n",
                 stats->getNumber("queue_depth", -1),
                 stats->getNumber("queue_capacity", -1),
-                ep::serve::writeJson(*stats->find("counters")).c_str());
+                ep::writeJson(*stats->find("counters")).c_str());
   }
   if (mix.shutdown) {
     (void)client.shutdownDaemon();

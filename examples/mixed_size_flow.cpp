@@ -7,7 +7,7 @@
 // per stage, and the final legality/quality report.
 #include <cstdio>
 
-#include "eplace/flow.h"
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "eval/plot.h"
 #include "gen/generator.h"
@@ -39,7 +39,7 @@ int main() {
     }
   };
 
-  const ep::FlowResult res = ep::runEplaceFlow(db, cfg);
+  const ep::FlowResult res = *ep::runSupervisedFlow(db, cfg, ep::plainPolicy());
   ep::plotLayout(db, "mixed_size_final.ppm");
 
   std::printf("\nstage summary:\n");

@@ -4,7 +4,7 @@
 // routability-driven refinement via RUDY congestion + cell inflation.
 #include <cstdio>
 
-#include "eplace/flow.h"
+#include "eplace/supervisor.h"
 #include "gen/generator.h"
 #include "route/routability.h"
 #include "timing/timing_driven.h"
@@ -41,7 +41,7 @@ int main() {
     spec.locality = 0.9;  // tight clusters create congestion knots
     spec.seed = 52;
     ep::PlacementDB db = ep::generateCircuit(spec);
-    ep::runEplaceFlow(db);
+    ep::runSupervisedFlow(db, {}, ep::plainPolicy());
 
     const ep::RoutabilityResult res = ep::routabilityDrivenRefine(db);
     std::printf(

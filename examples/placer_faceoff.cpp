@@ -11,7 +11,7 @@
 #include "baseline/bell.h"
 #include "baseline/mincut.h"
 #include "baseline/quadratic.h"
-#include "eplace/flow.h"
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "legal/detail.h"
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
   {
     ep::PlacementDB db = ep::generateCircuit(spec);
     ep::Timer t;
-    ep::runEplaceFlow(db);
+    ep::runSupervisedFlow(db, {}, ep::plainPolicy());
     rows.push_back(measure("ePlace", db, t.seconds()));
   }
 

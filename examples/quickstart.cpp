@@ -6,7 +6,7 @@
 //   ./build/examples/quickstart
 #include <cstdio>
 
-#include "eplace/flow.h"
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "util/log.h"
@@ -28,7 +28,7 @@ int main() {
               db.region.height());
 
   ep::FlowConfig cfg;
-  const ep::FlowResult res = ep::runEplaceFlow(db, cfg);
+  const ep::FlowResult res = *ep::runSupervisedFlow(db, cfg, ep::plainPolicy());
 
   auto stage = [](const char* name, const ep::StageMetrics& m) {
     if (!m.ran) return;

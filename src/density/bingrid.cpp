@@ -4,7 +4,6 @@
 #include <cassert>
 #include <stdexcept>
 
-#include "fft/fft.h"
 #include "util/checked_math.h"
 
 namespace ep {

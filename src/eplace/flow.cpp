@@ -19,19 +19,10 @@ StageMetrics flowStageMetrics(const PlacementDB& db, double seconds,
   return m;
 }
 
-namespace {
-
-StageMetrics stageSnapshot(const PlacementDB& db, double seconds, int iters) {
-  return flowStageMetrics(db, seconds, iters);
-}
-
-}  // namespace
-
 void flowStageMip(PlacementDB& db, FlowState& st) {
   Timer t;
-  const auto ip = quadraticInitialPlace(db, st.cfg.ip, st.ctx);
-  st.res.stageSeconds.add("mIP", t.seconds());
-  st.res.mip = stageSnapshot(db, t.seconds(), st.cfg.ip.outerIterations);
+  quadraticInitialPlace(db, st.cfg.ip, st.ctx);
+  st.res.mip = flowStageMetrics(db, t.seconds(), st.cfg.ip.outerIterations);
 }
 
 void flowStageMgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
@@ -58,15 +49,14 @@ void flowStageMgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   st.res.mgpInner.add("other", stageTotal - st.res.mgpInner.get("density") -
                                    st.res.mgpInner.get("wirelength") -
                                    st.res.mgpInner.get("other"));
-  st.res.stageSeconds.add("mGP", stageTotal);
-  st.res.mgp = stageSnapshot(db, stageTotal, st.res.mgpResult.iterations);
+  st.res.mgp = flowStageMetrics(db, stageTotal, st.res.mgpResult.iterations);
 }
 
 void flowStageMlg(PlacementDB& db, FlowState& st) {
   Timer t;
   st.res.mlgResult = legalizeMacros(db, st.cfg.mlg, st.ctx);
-  st.res.stageSeconds.add("mLG", t.seconds());
-  st.res.mlg = stageSnapshot(db, t.seconds(), st.res.mlgResult.outerIterations);
+  st.res.mlg =
+      flowStageMetrics(db, t.seconds(), st.res.mlgResult.outerIterations);
 }
 
 void flowFreezeMacros(PlacementDB& db) {
@@ -94,16 +84,14 @@ void flowStageCgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   }
   st.res.cgpResult = cgp.run(trace, ctl);
   st.fillers = cgp.fillers();
-  st.res.stageSeconds.add("cGP", t.seconds());
-  st.res.cgp = stageSnapshot(db, t.seconds(), st.res.cgpResult.iterations);
+  st.res.cgp = flowStageMetrics(db, t.seconds(), st.res.cgpResult.iterations);
 }
 
 void flowStageCdp(PlacementDB& db, FlowState& st) {
   Timer t;
   st.res.legalizeResult = legalizeCells(db, st.ctx);
   st.res.detailResult = detailPlace(db, st.cfg.detail, st.ctx);
-  st.res.stageSeconds.add("cDP", t.seconds());
-  st.res.cdp = stageSnapshot(db, t.seconds(), st.res.detailResult.passes);
+  st.res.cdp = flowStageMetrics(db, t.seconds(), st.res.detailResult.passes);
 }
 
 void flowFinish(PlacementDB& db, FlowState& st) {
@@ -128,48 +116,6 @@ void flowFinish(PlacementDB& db, FlowState& st) {
       "flow done: HPWL %.4g (scaled %.4g), legal=%d, status=%s, %.2fs",
       res.finalHpwl, res.finalScaledHpwl, res.legality.legal ? 1 : 0,
       statusCodeName(res.status.code()), res.totalSeconds);
-}
-
-FlowResult runEplaceFlow(PlacementDB& db, const FlowConfig& cfg,
-                         RuntimeContext* ctx) {
-  FlowState st;
-  st.cfg = cfg;
-  st.ctx = ctx;
-
-  flowStageMip(db, st);
-  st.mixedSize = db.numMovableMacros() > 0;
-  flowStageMgp(db, st);
-  if (st.mixedSize) {
-    flowStageMlg(db, st);
-    flowFreezeMacros(db);
-    flowStageCgp(db, st);
-  }
-  if (cfg.runDetail) flowStageCdp(db, st);
-  flowFinish(db, st);
-  return st.res;
-}
-
-StatusOr<FlowResult> runEplaceFlowChecked(PlacementDB& db,
-                                          const FlowConfig& cfg,
-                                          RuntimeContext* ctx) {
-  int repaired = 0;
-  const Status s = db.sanitize(&repaired);
-  if (!s.ok()) return s;
-  if (repaired > 0) {
-    resolveContext(ctx).log().warn(
-        "flow: sanitize repaired %d object position(s)", repaired);
-  }
-  const Status v = db.validate();
-  if (!v.ok()) return v;
-  // Exception boundary: a throwing hot-path task (e.g. a worker on the
-  // thread pool, see ThreadPool) surfaces here as a typed status instead of
-  // std::terminate-ing the process.
-  try {
-    return runEplaceFlow(db, cfg, ctx);
-  } catch (const std::exception& e) {
-    return Status::internal(std::string("flow aborted by exception: ") +
-                            e.what());
-  }
 }
 
 }  // namespace ep

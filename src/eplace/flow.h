@@ -10,6 +10,9 @@
 //
 // Standard-cell designs (no movable macros) skip mLG and cGP, exactly as
 // the paper runs ISPD 2005/2006 ("with mLG and cGP disabled").
+//
+// runSupervisedFlow (eplace/supervisor.h) sequences the stages; pass
+// plainPolicy() for the flow as published (one attempt per stage).
 #pragma once
 
 #include <functional>
@@ -52,7 +55,7 @@ struct StageMetrics {
   bool ran = false;
 };
 
-/// One coarse level of the multilevel V-cycle (supervised flow only):
+/// One coarse level of the multilevel V-cycle (MultilevelConfig):
 /// "mGP@L<level>" rows in the run record. Level indices count down toward
 /// the flat netlist — the coarsest level has the highest index, level 0 is
 /// the last clustered level before flat mGP refinement.
@@ -74,8 +77,7 @@ struct FlowResult {
   MlgResult mlgResult;
   LegalizeResult legalizeResult;
   DetailResult detailResult;
-  TimeBreakdown stageSeconds;  ///< "mIP"/"mGP"/"mLG"/"cGP"/"cDP" (Fig. 7)
-  TimeBreakdown mgpInner;      ///< "density"/"wirelength"/"other" (Fig. 7)
+  TimeBreakdown mgpInner;  ///< "density"/"wirelength"/"other" (Fig. 7)
   double totalSeconds = 0.0;
   /// OK for a clean run. kNumericalDivergence / kTimeout when a placement
   /// stage degraded gracefully (the first failing stage wins); the result
@@ -84,32 +86,11 @@ struct FlowResult {
   Status status;
 };
 
-/// Runs the flow on `db` in place and returns every stage's metrics.
-/// Mixed-size behaviour (mLG + cGP) activates automatically when the design
-/// has movable macros. The mGP filler set is reused by cGP per the paper.
-/// Assumes a valid, finalized db (see runEplaceFlowChecked for the
-/// validating entry point); degradation status is in FlowResult::status.
-/// `ctx` supplies the thread pool, fault injector, log sink and deadline
-/// for every stage; nullptr uses the process-default context.
-FlowResult runEplaceFlow(PlacementDB& db, const FlowConfig& cfg = {},
-                         RuntimeContext* ctx = nullptr);
-
-/// Validating entry point: sanitizes the instance (clamping stranded fixed
-/// pads, recentering non-finite movables), validates it, then runs the
-/// flow. Returns kInvalidInput without placing anything when the instance
-/// is structurally unusable; otherwise the FlowResult (whose `status`
-/// reports any in-flight degradation, see above).
-StatusOr<FlowResult> runEplaceFlowChecked(PlacementDB& db,
-                                          const FlowConfig& cfg = {},
-                                          RuntimeContext* ctx = nullptr);
-
 // ---------------------------------------------------------------------------
-// Stage-level decomposition. runEplaceFlow drives these in order; the
-// FlowSupervisor (eplace/supervisor.h) drives the same functions but wraps
-// each call with wall-clock budgets, bounded retries, fallbacks, and
-// inter-stage invariant gates, and threads GpRunControl through the GP
-// stages for durable checkpoint/resume. Keeping one implementation per
-// stage guarantees the supervised flow cannot drift from the plain one.
+// Stage-level decomposition. The FlowSupervisor (eplace/supervisor.h)
+// drives these in order and wraps each call with its policy's wall-clock
+// budgets, retries, fallbacks and inter-stage invariant gates, threading
+// GpRunControl through the GP stages for durable checkpoint/resume.
 // ---------------------------------------------------------------------------
 
 /// Mutable state threaded through the stage functions. `ctx` is borrowed

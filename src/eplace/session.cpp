@@ -76,24 +76,12 @@ StatusOr<FlowResult> PlacerSession::place() {
         " B cannot hold the placement view (" +
         std::to_string(db_.view().footprintBytes()) + " B)");
   }
-  report_ = SupervisorReport{};
-  StatusOr<FlowResult> run = [&]() -> StatusOr<FlowResult> {
-    try {
-      return opt_.supervised
-                 ? runSupervisedFlow(db_, opt_.flow, opt_.sup, &report_, &ctx_)
-                 : runEplaceFlowChecked(db_, opt_.flow, &ctx_);
-    } catch (const MemoryBudgetExceeded& e) {
-      // The supervised path converts breaches itself (with degradation
-      // first); this is the unsupervised flow's backstop — typed, never
-      // an abort.
-      return Status::resourceExhausted(e.what());
-    }
-  }();
+  StatusOr<FlowResult> run = runSupervisedFlow(
+      db_, opt_.flow, opt_.supervised ? opt_.sup : plainPolicy(), &report_,
+      &ctx_);
   if (run.ok()) {
     result_ = *run;
-    record_ = buildRunRecord(db_, result_,
-                             opt_.supervised ? &report_ : nullptr, &ctx_,
-                             opt_.supervised);
+    record_ = buildRunRecord(db_, result_, &report_, &ctx_, opt_.supervised);
     hasResult_ = true;
   }
   return run;

@@ -47,8 +47,8 @@ struct SessionOptions {
   /// a typed kResourceExhausted outcome — the supervisor first degrades
   /// (coarser bin grid, reduced checkpoint retention), then fails cleanly.
   std::size_t memBudgetMb = 0;
-  /// Run under the FlowSupervisor (per-stage retries, fallbacks, durable
-  /// snapshots) instead of the plain checked flow.
+  /// Policy selector: the `sup` policy (per-stage retries, fallbacks,
+  /// durable snapshots) when true, plainPolicy() when false.
   bool supervised = false;
   FlowConfig flow;
   SupervisorConfig sup;  ///< used only when `supervised`
@@ -69,8 +69,8 @@ class PlacerSession {
   /// finalized here if the caller has not done so.
   Status adopt(PlacementDB db);
 
-  /// Runs the (supervised) flow on the loaded instance. Degradation is
-  /// reported in FlowResult::status exactly as with runEplaceFlow.
+  /// Runs the flow on the loaded instance under the selected policy.
+  /// Degradation is reported in FlowResult::status (see runSupervisedFlow).
   StatusOr<FlowResult> place();
 
   [[nodiscard]] PlacementDB& db() { return db_; }
@@ -79,7 +79,7 @@ class PlacerSession {
   [[nodiscard]] const FlowResult* result() const {
     return hasResult_ ? &result_ : nullptr;
   }
-  /// Per-stage story of the last supervised place().
+  /// Per-stage story of the last place().
   [[nodiscard]] const SupervisorReport& report() const { return report_; }
   /// Structured run record of the last successful place(); nullptr before
   /// that. Serialize with writeRunRecord()/writeRunRecordFile().

@@ -2,8 +2,10 @@
 //
 // Production runs of the mixed-size pipeline (mIP -> mGP -> mLG -> cGP ->
 // cDP) are long enough that a crash, an OOM kill, or one misbehaving stage
-// must not cost the whole run. The supervisor drives the SAME stage
-// functions as runEplaceFlow (eplace/flow.h) but wraps each one with:
+// must not cost the whole run. The supervisor is the only driver of the
+// stage functions (eplace/flow.h); a SupervisorConfig policy decides how
+// much of the following wraps each one (plainPolicy() keeps the gates and
+// drops retries, fallbacks and snapshots):
 //
 //   * durable checkpoints — versioned, CRC-protected snapshots
 //     (util/snapshot.h) written atomically at every stage boundary and,
@@ -21,7 +23,8 @@
 //     legalizer fails its gate or budget; detail placement is rolled back
 //     (cDP "skipped") when it regresses HPWL or breaks legality.
 //   * inter-stage invariant gates — all movables finite and in-core after
-//     every stage; zero macro overlap after mLG; full row/site/overlap
+//     every stage; zero macro overlap after mLG (a stage note when it
+//     fails, not a run failure); full row/site/overlap
 //     legality after legalization and detail; HPWL-regression caps. A gate
 //     failure rolls the DB back to the stage-entry (or snapshot) state
 //     instead of letting corruption propagate silently.
@@ -144,6 +147,11 @@ struct SupervisorConfig {
   MultilevelConfig multilevel;
 };
 
+/// The plain flow of Fig. 1 as a policy: one attempt per stage, no
+/// fallbacks, no snapshots. The invariant gates still run; with no retry
+/// left, a failed gate rolls its stage back and reports it.
+SupervisorConfig plainPolicy();
+
 /// Outcome of one supervised stage (one row of the end-of-flow report).
 struct StageReport {
   FlowStage stage = FlowStage::kMip;
@@ -166,21 +174,24 @@ struct SupervisorReport {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Runs the supervised flow on `db` in place. Sanitizes and validates first
-/// (kInvalidInput without placing anything when the instance is unusable);
-/// any in-flight degradation lands in FlowResult::status exactly as with
-/// runEplaceFlow, with the per-stage story in `*report` when non-null.
-/// `ctx` supplies the thread pool, fault injector, log sink and deadline
-/// for every stage (its injector also drives the "snapshot.write" site);
-/// nullptr uses the process-default context.
+/// Runs the flow on `db` in place under the `sup` policy. Sanitizes and
+/// validates first (kInvalidInput without placing anything when the
+/// instance is unusable). A flow that ran but degraded returns OK here with
+/// the first failing stage's typed status in FlowResult::status and the
+/// per-stage story in `*report` when non-null. An exception escaping a
+/// stage comes back as kInternal (kResourceExhausted for a memory-budget
+/// breach outside the GP degradation ladder). `ctx` supplies the thread
+/// pool, fault injector, log sink and deadline for every stage (its
+/// injector also drives the "snapshot.write" site); nullptr uses the
+/// process-default context.
 StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
                                        const SupervisorConfig& sup = {},
                                        SupervisorReport* report = nullptr,
                                        RuntimeContext* ctx = nullptr);
 
 /// Assembles the structured run record (util/run_record.h) for a finished
-/// flow: per-stage metrics from `res`, retry counts from `report` (pass
-/// nullptr for an unsupervised run), recovery/rollback/snapshot counters
+/// flow: per-stage metrics from `res`, retry counts from `report` (nullptr
+/// records none), recovery/rollback/snapshot counters
 /// and the stats dump from `ctx`'s registry, fingerprint/seed/threads from
 /// the input and context. Lives here — not in util — because it reads
 /// PlacementDB and FlowResult, which the util layer must not know about.

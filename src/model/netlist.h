@@ -146,7 +146,7 @@ class PlacementDB {
   ///    map counts each footprint once (one warning line names the count);
   ///  * zero/negative-area movable objects are rejected.
   /// Returns the number of clamped/recentered objects via `repaired` when
-  /// non-null. Call before validate()+mGP; runEplaceFlowChecked() does.
+  /// non-null. Call before validate()+mGP; runSupervisedFlow() does.
   Status sanitize(int* repaired = nullptr);
 
  private:

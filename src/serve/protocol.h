@@ -32,8 +32,8 @@
 #include <string>
 #include <vector>
 
-#include "serve/jsonlite.h"
 #include "util/fault_injector.h"
+#include "util/jsonlite.h"
 #include "util/status.h"
 
 namespace ep::serve {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "util/log.h"
 #include "wirelength/wl.h"
@@ -13,7 +14,7 @@ TimingDrivenResult timingDrivenPlace(PlacementDB& db,
   TimingDrivenResult res;
 
   // Seed run fixes the clock target.
-  runEplaceFlow(db, cfg.flow);
+  runSupervisedFlow(db, cfg.flow, plainPolicy());
   {
     const StaResult seed = staAnalyze(db);
     res.clockPeriod = cfg.clockFactor * seed.maxDelay;
@@ -51,7 +52,7 @@ TimingDrivenResult timingDrivenPlace(PlacementDB& db,
       const double crit = sta.criticality(e);
       db.nets[e].weight = origWeight[e] * (1.0 + cfg.alpha * crit * crit);
     }
-    runEplaceFlow(db, cfg.flow);
+    runSupervisedFlow(db, cfg.flow, plainPolicy());
     ++res.rounds;
 
     const StaResult now = staAnalyze(db, res.clockPeriod);

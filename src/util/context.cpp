@@ -1,17 +1,6 @@
 #include "util/context.h"
 
-#include <atomic>
-
 namespace ep {
-
-namespace {
-
-// Thread count requested by ep::compat::setGlobalThreads before the default
-// context materializes; 0 = hardware concurrency.
-std::atomic<int> g_requestedDefaultThreads{0};
-std::atomic<bool> g_defaultMaterialized{false};
-
-}  // namespace
 
 RuntimeContext::RuntimeContext(RuntimeOptions opt)
     : opt_(std::move(opt)),
@@ -36,23 +25,8 @@ RuntimeContext::RuntimeContext(DefaultTag, RuntimeOptions opt)
 }
 
 RuntimeContext& RuntimeContext::processDefault() {
-  static RuntimeContext ctx = [] {
-    g_defaultMaterialized.store(true, std::memory_order_release);
-    RuntimeOptions opt;
-    opt.threads = g_requestedDefaultThreads.load(std::memory_order_acquire);
-    return RuntimeContext(DefaultTag{}, std::move(opt));
-  }();
+  static RuntimeContext ctx(DefaultTag{}, RuntimeOptions{});
   return ctx;
 }
-
-namespace detail {
-
-bool requestProcessDefaultThreads(int threads) {
-  if (g_defaultMaterialized.load(std::memory_order_acquire)) return false;
-  g_requestedDefaultThreads.store(threads, std::memory_order_release);
-  return true;
-}
-
-}  // namespace detail
 
 }  // namespace ep

@@ -171,9 +171,8 @@ class RuntimeContext {
   }
 
   /// The shared fallback context: hardware-sized pool, unprefixed default
-  /// log sink, no deadline. Created on first use; ep::compat can set its
-  /// thread count before that point. Single-tenant convenience only —
-  /// concurrent sessions must own their contexts.
+  /// log sink, no deadline. Created on first use. Single-tenant
+  /// convenience only — concurrent sessions must own their contexts.
   static RuntimeContext& processDefault();
 
  private:
@@ -200,12 +199,5 @@ class RuntimeContext {
 inline RuntimeContext& resolveContext(RuntimeContext* ctx) {
   return ctx != nullptr ? *ctx : RuntimeContext::processDefault();
 }
-
-namespace detail {
-/// Pre-materialization hook for the ep::compat shim: requests that
-/// processDefault() be built with `threads` workers. Returns false (and
-/// changes nothing) once the default context exists.
-bool requestProcessDefaultThreads(int threads);
-}  // namespace detail
 
 }  // namespace ep

@@ -9,8 +9,8 @@
 #include <cstdint>
 #include <vector>
 
-#include "eplace/flow.h"
 #include "eplace/global_placer.h"
+#include "eplace/supervisor.h"
 #include "gen/generator.h"
 #include "qp/initial_place.h"
 #include "util/context.h"
@@ -73,7 +73,8 @@ RunOutcome runMixedFlow(std::uint64_t seed, int threads) {
   PlacementDB db = circuit(seed, 300, 4);
   FlowConfig cfg;
   cfg.runDetail = false;
-  const FlowResult res = runEplaceFlow(db, cfg, &ctx);
+  const FlowResult res =
+      *runSupervisedFlow(db, cfg, plainPolicy(), nullptr, &ctx);
   return {movablePositions(db), res.finalHpwl, res.mgp.iterations};
 }
 

@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
 #include "eplace/filler.h"
-#include "eplace/flow.h"
 #include "eplace/global_placer.h"
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "qp/initial_place.h"
@@ -212,7 +212,7 @@ TEST(GlobalPlacer, FillerOnlyMovesOnlyFillers) {
 
 TEST(Flow, StdCellFlowIsLegalAndConverged) {
   PlacementDB db = circuit(14, 600);
-  const FlowResult res = runEplaceFlow(db);
+  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
   EXPECT_TRUE(res.mgpResult.converged);
   EXPECT_FALSE(res.mlg.ran);  // no movable macros -> mLG/cGP skipped
   EXPECT_FALSE(res.cgp.ran);
@@ -222,7 +222,7 @@ TEST(Flow, StdCellFlowIsLegalAndConverged) {
 
 TEST(Flow, MixedSizeFlowRunsAllStages) {
   PlacementDB db = circuit(15, 500, 6);
-  const FlowResult res = runEplaceFlow(db);
+  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
   EXPECT_TRUE(res.mip.ran);
   EXPECT_TRUE(res.mgp.ran);
   EXPECT_TRUE(res.mlg.ran);
@@ -238,7 +238,7 @@ TEST(Flow, MixedSizeFlowRunsAllStages) {
 
 TEST(Flow, CgpLambdaIsRewound) {
   PlacementDB db = circuit(16, 400, 5);
-  const FlowResult res = runEplaceFlow(db);
+  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
   // cGP starts from lambda_mGP * 1.1^-m; by the end it must have grown back
   // but the recorded rewind means cGP ran with a real schedule. Check the
   // stage actually iterated and converged.
@@ -254,26 +254,26 @@ TEST(Flow, TraceSeesStages) {
     if (stage == "mGP") sawMgp = true;
     if (stage == "cGP") sawCgp = true;
   };
-  runEplaceFlow(db, cfg);
+  runSupervisedFlow(db, cfg, plainPolicy());
   EXPECT_TRUE(sawMgp);
   EXPECT_TRUE(sawCgp);
 }
 
 TEST(Flow, StageTimesAreRecorded) {
   PlacementDB db = circuit(18, 300);
-  const FlowResult res = runEplaceFlow(db);
-  EXPECT_GT(res.stageSeconds.get("mGP"), 0.0);
-  EXPECT_GT(res.stageSeconds.get("cDP"), 0.0);
+  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+  EXPECT_GT(res.mgp.seconds, 0.0);
+  EXPECT_GT(res.cdp.seconds, 0.0);
   EXPECT_GT(res.mgpInner.get("density"), 0.0);
   EXPECT_GT(res.mgpInner.get("wirelength"), 0.0);
-  EXPECT_LE(res.mgpInner.total(), res.stageSeconds.get("mGP") + 0.5);
+  EXPECT_LE(res.mgpInner.total(), res.mgp.seconds + 0.5);
 }
 
 TEST(Flow, DisablingFillerOnlyStillLegal) {
   PlacementDB db = circuit(19, 400, 4);
   FlowConfig cfg;
   cfg.enableFillerOnly = false;
-  const FlowResult res = runEplaceFlow(db, cfg);
+  const FlowResult res = *runSupervisedFlow(db, cfg, plainPolicy());
   EXPECT_TRUE(res.legality.legal) << res.legality.firstIssue;
 }
 

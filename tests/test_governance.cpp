@@ -177,7 +177,12 @@ TEST(MemoryBudget, ArenaGrowthBreachThrowsAndAllocatesNothing) {
 class IoFaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "ep_io_fault";
+    // One directory per test: ctest runs each case in its own process, so
+    // a shared directory would be removed under a concurrent test.
+    dir_ = fs::path(::testing::TempDir()) /
+           ("ep_io_fault_" + std::string(::testing::UnitTest::GetInstance()
+                                             ->current_test_info()
+                                             ->name()));
     fs::remove_all(dir_);
     fs::create_directories(dir_);
   }

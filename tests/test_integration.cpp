@@ -8,7 +8,7 @@
 #include "baseline/mincut.h"
 #include "baseline/quadratic.h"
 #include "bookshelf/bookshelf.h"
-#include "eplace/flow.h"
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/suites.h"
 #include "legal/detail.h"
@@ -30,7 +30,7 @@ class SuiteFlow : public ::testing::TestWithParam<const char*> {};
 
 TEST_P(SuiteFlow, EndToEndLegalAndConverged) {
   PlacementDB db = generateCircuit(shrunk(suiteSpec(GetParam())));
-  const FlowResult res = runEplaceFlow(db);
+  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
   EXPECT_TRUE(res.mgpResult.converged) << GetParam();
   const auto rep = checkLegality(db);
   EXPECT_TRUE(rep.legal) << GetParam() << ": " << rep.firstIssue;
@@ -49,8 +49,8 @@ TEST(Integration, FlowIsDeterministicEndToEnd) {
   const GenSpec spec = shrunk(suiteSpec("mms_adaptec1s"));
   PlacementDB a = generateCircuit(spec);
   PlacementDB b = generateCircuit(spec);
-  const FlowResult ra = runEplaceFlow(a);
-  const FlowResult rb = runEplaceFlow(b);
+  const FlowResult ra = *runSupervisedFlow(a, {}, plainPolicy());
+  const FlowResult rb = *runSupervisedFlow(b, {}, plainPolicy());
   EXPECT_DOUBLE_EQ(ra.finalHpwl, rb.finalHpwl);
   for (std::size_t i = 0; i < a.objects.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.objects[i].lx, b.objects[i].lx);
@@ -65,7 +65,7 @@ TEST(Integration, BookshelfRoundTripThroughFlow) {
   std::filesystem::create_directories(dir);
   GenSpec spec = shrunk(suiteSpec("mms_adaptec1s"));
   PlacementDB db = generateCircuit(spec);
-  runEplaceFlow(db);
+  runSupervisedFlow(db, {}, plainPolicy());
   const double placedHpwl = hpwl(db);
   ASSERT_TRUE(writeBookshelf(dir, "placed", db).ok());
 
@@ -87,7 +87,7 @@ TEST(Integration, PlaceAnExternalBookshelfDesign) {
 
   PlacementDB db;
   ASSERT_TRUE(readBookshelf(dir + "/ext.aux", db).ok());
-  const FlowResult res = runEplaceFlow(db);
+  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
   EXPECT_TRUE(res.legality.legal) << res.legality.firstIssue;
 }
 
@@ -121,7 +121,7 @@ TEST(Integration, EplaceBeatsNaivePlacementOnQuality) {
   // HPWL beats the min-cut baseline on a clustered netlist.
   const GenSpec spec = shrunk(suiteSpec("ispd05_adaptec1s"));
   PlacementDB a = generateCircuit(spec);
-  runEplaceFlow(a);
+  runSupervisedFlow(a, {}, plainPolicy());
 
   PlacementDB b = generateCircuit(spec);
   minCutPlace(b);

@@ -6,8 +6,8 @@
 
 #include <cmath>
 
-#include "eplace/flow.h"
 #include "eplace/global_placer.h"
+#include "eplace/supervisor.h"
 #include "gen/generator.h"
 #include "qp/initial_place.h"
 #include "util/context.h"
@@ -154,7 +154,8 @@ TEST_F(RecoveryTest, FlowCarriesDivergenceStatusThrough) {
                    {FaultKind::kNaN, /*atTick=*/30, /*count=*/-1});
   FlowConfig cfg;
   cfg.runDetail = false;  // keep the degraded layout observable
-  const StatusOr<FlowResult> res = runEplaceFlowChecked(db, cfg, &ctx);
+  const StatusOr<FlowResult> res =
+      runSupervisedFlow(db, cfg, plainPolicy(), nullptr, &ctx);
   ASSERT_TRUE(res.ok());  // the flow ran; degradation is in res->status
   EXPECT_EQ(res->status.code(), StatusCode::kNumericalDivergence);
   EXPECT_TRUE(placementInsideRegion(db));
@@ -163,7 +164,7 @@ TEST_F(RecoveryTest, FlowCarriesDivergenceStatusThrough) {
 TEST_F(RecoveryTest, FlowCheckedRejectsZeroAreaMovable) {
   PlacementDB db = smallInstance();
   db.objects[db.movable()[0]].w = 0.0;
-  const StatusOr<FlowResult> res = runEplaceFlowChecked(db);
+  const StatusOr<FlowResult> res = runSupervisedFlow(db, {}, plainPolicy());
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidInput);
   EXPECT_NE(res.status().message().find("zero area"), std::string::npos);

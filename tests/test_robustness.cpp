@@ -7,8 +7,8 @@
 #include <fstream>
 
 #include "bookshelf/bookshelf.h"
-#include "eplace/flow.h"
 #include "eplace/global_placer.h"
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "legal/legalize.h"
@@ -44,7 +44,7 @@ TEST(Robustness, SingleCellDesign) {
     db.rows.push_back({0, static_cast<double>(r), 1.0, 1.0, 16});
   }
   db.finalize();
-  const FlowResult res = runEplaceFlow(db);
+  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
   EXPECT_TRUE(res.legality.legal) << res.legality.firstIssue;
 }
 
@@ -64,7 +64,7 @@ TEST(Robustness, DesignWithoutNets) {
   }
   db.finalize();
   // No wirelength force at all: density must still spread and legalize.
-  const FlowResult res = runEplaceFlow(db);
+  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
   EXPECT_TRUE(res.legality.legal) << res.legality.firstIssue;
   EXPECT_DOUBLE_EQ(res.finalHpwl, 0.0);
 }
@@ -81,7 +81,7 @@ TEST(Robustness, NoMovableObjects) {
   db.objects.push_back(o);
   db.rows.push_back({0, 0, 1.0, 1.0, 32});
   db.finalize();
-  const FlowResult res = runEplaceFlow(db);
+  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
   EXPECT_TRUE(res.legality.legal);
 }
 
@@ -350,8 +350,8 @@ TEST(Robustness, OverflowWithZeroMovableArea) {
 // ---------- thread-pool fault containment ----------
 
 TEST(Robustness, ThrowingPoolTaskSurfacesAsStatusNotTerminate) {
-  // "parallel.task" makes one pool task throw mid-flow. The checked flow
-  // boundary must convert that into StatusCode::kInternal instead of
+  // "parallel.task" makes one pool task throw mid-flow. The flow boundary
+  // must convert that into StatusCode::kInternal instead of
   // letting the exception escape (which would std::terminate from a worker
   // or unwind through main).
   RuntimeContext ctx(4);
@@ -362,7 +362,7 @@ TEST(Robustness, ThrowingPoolTaskSurfacesAsStatusNotTerminate) {
   spec.seed = 5;
   PlacementDB db = generateCircuit(spec);
   const StatusOr<FlowResult> res =
-      runEplaceFlowChecked(db, FlowConfig{}, &ctx);
+      runSupervisedFlow(db, {}, plainPolicy(), nullptr, &ctx);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInternal);
   EXPECT_NE(res.status().message().find("parallel.task"), std::string::npos)
@@ -380,7 +380,7 @@ TEST(Robustness, PoolTaskFaultOnOneThreadStillTyped) {
   spec.seed = 6;
   PlacementDB db = generateCircuit(spec);
   const StatusOr<FlowResult> res =
-      runEplaceFlowChecked(db, FlowConfig{}, &ctx);
+      runSupervisedFlow(db, {}, plainPolicy(), nullptr, &ctx);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInternal);
 }

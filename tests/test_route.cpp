@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "eplace/flow.h"
+#include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "route/routability.h"
@@ -93,7 +93,7 @@ TEST(Routability, RefineReducesHotspotAndStaysLegal) {
   spec.locality = 0.9;  // tight clusters -> congestion hotspots
   spec.seed = 12;
   PlacementDB db = generateCircuit(spec);
-  runEplaceFlow(db);
+  runSupervisedFlow(db, {}, plainPolicy());
   ASSERT_TRUE(checkLegality(db).legal);
 
   const RoutabilityResult res = routabilityDrivenRefine(db);
@@ -126,7 +126,7 @@ TEST(Routability, RestoresTrueCellSizes) {
   PlacementDB db = generateCircuit(spec);
   std::vector<double> widths;
   for (const auto& o : db.objects) widths.push_back(o.w);
-  runEplaceFlow(db);
+  runSupervisedFlow(db, {}, plainPolicy());
   routabilityDrivenRefine(db);
   for (std::size_t i = 0; i < db.objects.size(); ++i) {
     EXPECT_DOUBLE_EQ(db.objects[i].w, widths[i]) << db.objects[i].name;

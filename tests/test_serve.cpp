@@ -15,9 +15,9 @@
 #include <vector>
 
 #include "serve/journal.h"
-#include "serve/jsonlite.h"
 #include "serve/protocol.h"
 #include "serve/queue.h"
+#include "util/jsonlite.h"
 #include "util/rng.h"
 #include "util/status.h"
 
