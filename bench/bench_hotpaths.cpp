@@ -12,6 +12,10 @@
 //    configuration runs the same work sequentially, so ns/op is flat there
 //    by construction, not by defect.
 //  * "kernels": per-kernel mean ns per call at each thread count.
+//  * "pool_dispatch": median (and p90) ns of one ThreadPool::parallelFor
+//    over an n-element axpy at each thread count, from back-to-back calls
+//    each timed on its own — the fixed cost every parallel kernel pays —
+//    plus an idle_us = 2000 row per thread count: a call to parked workers.
 //  * "end_to_end": mGP/cGP stage seconds per thread count on the same
 //    instance, plus the final HPWL bits so identical results are checkable.
 //  * "bit_identical": true iff every thread count produced bit-identical
@@ -24,6 +28,7 @@
 //  * "budget_overhead": the hottest kernels re-timed with a MemoryBudget
 //    attached — budgets charge only on arena growth (warm-up), so the
 //    steady-state deltas must be noise and bytes_charged_steady_state 0.
+#include <algorithm>
 #include <atomic>
 #include <cinttypes>
 #include <filesystem>
@@ -241,6 +246,56 @@ int main(int argc, char** argv) {
     }
     std::printf("wrote kernel record %s\n", kernelRecordPath.c_str());
     return 0;
+  }
+
+  // --- pool dispatch: one parallelFor, timed call by call --------------------
+  // Back-to-back calls on a warm pool, as in a GP iteration; the body is a
+  // light axpy so the rows show what a dispatch adds to cheap loops. The
+  // idle rows wait 2 ms before each call, so the workers have parked: their
+  // cost is the wake-up the spin phase exists to avoid, and the pool's
+  // spin budget is sized against it (docs/PERFORMANCE.md).
+  struct DispatchRow {
+    std::size_t n;
+    int threads;
+    int idleUs;
+    double p50Ns;
+    double p90Ns;
+    int calls;
+  };
+  std::vector<DispatchRow> dispatchRows;
+  {
+    auto dispatchRow = [&](ThreadPool& pool, std::size_t n, int idleUs,
+                           int calls) {
+      std::vector<double> dx(n, 1.0), dy(n, 0.5);
+      auto body = [&](std::size_t, std::size_t b, std::size_t e) {
+        for (std::size_t i = b; i < e; ++i) dy[i] = 0.999 * dy[i] + dx[i];
+      };
+      for (int c = 0; c < calls / 10; ++c) pool.parallelFor(n, body);
+      std::vector<double> ns(static_cast<std::size_t>(calls));
+      for (auto& t : ns) {
+        Timer idle;
+        while (idle.seconds() * 1e6 < idleUs) {
+        }
+        Timer ct;
+        pool.parallelFor(n, body);
+        t = ct.seconds() * 1e9;
+      }
+      std::sort(ns.begin(), ns.end());
+      const DispatchRow row{n, pool.threads(), idleUs, ns[ns.size() / 2],
+                            ns[ns.size() * 9 / 10], calls};
+      std::printf("pool_dispatch n=%zu threads=%d idle=%dus: p50 %.0f ns, "
+                  "p90 %.0f ns (%d calls)\n",
+                  row.n, row.threads, row.idleUs, row.p50Ns, row.p90Ns,
+                  row.calls);
+      return row;
+    };
+    for (const int nt : threadCounts) {
+      ThreadPool pool(nt);
+      for (const std::size_t n : {2048u, 16384u, 65536u}) {
+        dispatchRows.push_back(dispatchRow(pool, n, 0, smoke ? 50 : 2000));
+      }
+      dispatchRows.push_back(dispatchRow(pool, 16384, 2000, smoke ? 5 : 200));
+    }
   }
 
   // --- planned-transform sweep: 2-D DCT ns/op per solver grid size ----------
@@ -570,6 +625,21 @@ int main(int argc, char** argv) {
       arr.push(std::move(row));
     }
     root.set("kernels", std::move(arr));
+  }
+  {
+    JsonValue arr = JsonValue::array();
+    for (const auto& r : dispatchRows) {
+      JsonValue row = JsonValue::object();
+      row.set("name", JsonValue::str("pool_dispatch"));
+      row.set("n", JsonValue::number(static_cast<double>(r.n)));
+      row.set("threads", JsonValue::number(r.threads));
+      row.set("idle_us", JsonValue::number(r.idleUs));
+      row.set("median_ns", JsonValue::number(r.p50Ns));
+      row.set("p90_ns", JsonValue::number(r.p90Ns));
+      row.set("calls", JsonValue::number(r.calls));
+      arr.push(std::move(row));
+    }
+    root.set("pool_dispatch", std::move(arr));
   }
   {
     JsonValue arr = JsonValue::array();

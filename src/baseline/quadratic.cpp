@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <utility>
 
 #include "eval/metrics.h"
 #include "qp/b2b.h"
@@ -183,7 +184,7 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
               1e-6 * (axis == Axis::kX ? c.x : c.y);
         }
       }
-      const Csr A = builder.build();
+      const Csr A = std::move(builder).build();
       cgSolve(A, rhs, pos, cfg.cgMaxIterations, 1e-6);
     }
     writeBack();

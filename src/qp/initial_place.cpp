@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "qp/b2b.h"
 #include "qp/sparse.h"
@@ -54,8 +55,16 @@ InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
     if (hasFixedPin) break;
   }
 
+  // Upper bound on the B2B entries: a p-pin net makes 2p-3 connections of
+  // at most 4 entries each, plus one anchor entry per movable.
+  std::size_t maxEntries = hasFixedPin ? 0 : static_cast<std::size_t>(n);
+  for (const auto& net : db.nets) {
+    if (net.pins.size() >= 2) maxEntries += 4 * (2 * net.pins.size() - 3);
+  }
+
   auto solveAxis = [&](Axis axis, std::vector<double>& pos) {
     CooBuilder builder(n);
+    builder.reserve(maxEntries);
     std::vector<double> rhs(static_cast<std::size_t>(n), 0.0);
     buildB2B(db, axis, objToVar, pos, builder, rhs);
     if (!hasFixedPin) {
@@ -65,9 +74,9 @@ InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
         rhs[static_cast<std::size_t>(v)] += cfg.fallbackAnchor * anchorPos;
       }
     }
-    const Csr A = builder.build();
-    const CgResult cg =
-        cgSolve(A, rhs, pos, cfg.cgMaxIterations, cfg.cgTolerance);
+    const Csr A = std::move(builder).build();
+    const CgResult cg = cgSolve(A, rhs, pos, cfg.cgMaxIterations,
+                                cfg.cgTolerance, &rc.pool());
     result.totalCgIterations += cg.iterations;
   };
 

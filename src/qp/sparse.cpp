@@ -4,22 +4,40 @@
 #include <cassert>
 #include <cmath>
 
+#include "util/parallel.h"
 #include "util/stats.h"
 
 namespace ep {
 
-void Csr::multiply(std::span<const double> x, std::span<double> y) const {
+namespace {
+
+/// fn(i) for every i in [0, n), split across `pool` when there is one.
+/// Only for element-wise bodies: each index must write its own outputs.
+template <typename F>
+void forEachIndex(ThreadPool* pool, std::size_t n, const F& fn) {
+  if (pool == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  pool->parallelFor(n, [&](std::size_t, std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) fn(i);
+  });
+}
+
+}  // namespace
+
+void Csr::multiply(std::span<const double> x, std::span<double> y,
+                   ThreadPool* pool) const {
   assert(x.size() == static_cast<std::size_t>(n));
   assert(y.size() == static_cast<std::size_t>(n));
-  for (std::int32_t i = 0; i < n; ++i) {
+  forEachIndex(pool, static_cast<std::size_t>(n), [&](std::size_t i) {
     double s = 0.0;
-    for (std::int32_t k = start[static_cast<std::size_t>(i)];
-         k < start[static_cast<std::size_t>(i) + 1]; ++k) {
+    for (std::int32_t k = start[i]; k < start[i + 1]; ++k) {
       s += val[static_cast<std::size_t>(k)] *
            x[static_cast<std::size_t>(col[static_cast<std::size_t>(k)])];
     }
-    y[static_cast<std::size_t>(i)] = s;
-  }
+    y[i] = s;
+  });
 }
 
 void CooBuilder::addDiag(std::int32_t i, double w) {
@@ -37,8 +55,8 @@ void CooBuilder::addSpring(std::int32_t i, std::int32_t j, double w) {
   addOffDiag(i, j, -w);
 }
 
-Csr CooBuilder::build() const {
-  auto sorted = entries_;
+Csr CooBuilder::build() && {
+  auto& sorted = entries_;
   std::sort(sorted.begin(), sorted.end(), [](const Entry& a, const Entry& b) {
     return a.row != b.row ? a.row < b.row : a.col < b.col;
   });
@@ -59,11 +77,12 @@ Csr CooBuilder::build() const {
     k = j;
   }
   for (std::size_t i = 1; i < m.start.size(); ++i) m.start[i] += m.start[i - 1];
+  std::vector<Entry>().swap(entries_);
   return m;
 }
 
 CgResult cgSolve(const Csr& A, std::span<const double> b, std::span<double> x,
-                 int maxIter, double tol) {
+                 int maxIter, double tol, ThreadPool* pool) {
   const auto n = static_cast<std::size_t>(A.n);
   std::vector<double> diag(n, 1.0);
   for (std::int32_t i = 0; i < A.n; ++i) {
@@ -77,32 +96,34 @@ CgResult cgSolve(const Csr& A, std::span<const double> b, std::span<double> x,
   }
 
   std::vector<double> r(n), z(n), p(n), Ap(n);
-  A.multiply(x, Ap);
-  for (std::size_t i = 0; i < n; ++i) r[i] = b[i] - Ap[i];
+  A.multiply(x, Ap, pool);
+  forEachIndex(pool, n, [&](std::size_t i) {
+    r[i] = b[i] - Ap[i];
+    z[i] = r[i] / diag[i];
+    p[i] = z[i];
+  });
   const double bNorm = std::max(norm2(b), 1e-30);
-
-  for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / diag[i];
-  std::copy(z.begin(), z.end(), p.begin());
   double rz = dot(r, z);
 
   CgResult res;
-  for (int it = 0; it < maxIter; ++it) {
-    res.iterations = it;
+  int it = 0;
+  for (; it < maxIter; ++it) {
     if (norm2(r) / bNorm < tol) break;
-    A.multiply(p, Ap);
+    A.multiply(p, Ap, pool);
     const double pAp = dot(p, Ap);
     if (pAp <= 0.0) break;  // numerical breakdown / not SPD
     const double alpha = rz / pAp;
-    for (std::size_t i = 0; i < n; ++i) {
+    forEachIndex(pool, n, [&](std::size_t i) {
       x[i] += alpha * p[i];
       r[i] -= alpha * Ap[i];
-    }
-    for (std::size_t i = 0; i < n; ++i) z[i] = r[i] / diag[i];
+      z[i] = r[i] / diag[i];
+    });
     const double rzNew = dot(r, z);
     const double beta = rzNew / rz;
     rz = rzNew;
-    for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    forEachIndex(pool, n, [&](std::size_t i) { p[i] = z[i] + beta * p[i]; });
   }
+  res.iterations = it;
   res.residual = norm2(r) / bNorm;
   return res;
 }

@@ -10,6 +10,8 @@
 
 namespace ep {
 
+class ThreadPool;
+
 /// Compressed sparse row matrix (square).
 struct Csr {
   std::int32_t n = 0;
@@ -17,8 +19,10 @@ struct Csr {
   std::vector<std::int32_t> col;
   std::vector<double> val;
 
-  /// y = A x.
-  void multiply(std::span<const double> x, std::span<double> y) const;
+  /// y = A x. With a pool the rows are split across it; each row is still
+  /// summed in CSR order, so y is bit-identical for any thread count.
+  void multiply(std::span<const double> x, std::span<double> y,
+                ThreadPool* pool = nullptr) const;
 };
 
 /// Accumulates symmetric quadratic-form entries and compresses to CSR.
@@ -36,9 +40,13 @@ class CooBuilder {
   /// (A_ii += w, A_jj += w, A_ij -= w, A_ji -= w).
   void addSpring(std::int32_t i, std::int32_t j, double w);
 
-  [[nodiscard]] Csr build() const;
+  /// Reserves room for `entries` accumulated coordinates.
+  void reserve(std::size_t entries) { entries_.reserve(entries); }
+
+  /// Sorts the entries in place, sums duplicates into CSR, and frees the
+  /// entries: the builder is consumed.
+  [[nodiscard]] Csr build() &&;
   [[nodiscard]] std::int32_t size() const { return n_; }
-  void clear() { entries_.clear(); }
 
  private:
   struct Entry {
@@ -56,8 +64,12 @@ struct CgResult {
 
 /// Solve A x = b with Jacobi-preconditioned CG, starting from the x passed
 /// in. A must be symmetric positive definite (the B2B system with at least
-/// one fixed-pin anchor is).
+/// one fixed-pin anchor is). `iterations` counts completed CG steps, so a
+/// solve stopped by the cap reports `maxIter`. With a pool the SpMV and
+/// the element-wise vector updates run on it while dot products stay
+/// serial in index order: the result is bit-identical for any pool.
 CgResult cgSolve(const Csr& A, std::span<const double> b, std::span<double> x,
-                 int maxIter = 300, double tol = 1e-6);
+                 int maxIter = 300, double tol = 1e-6,
+                 ThreadPool* pool = nullptr);
 
 }  // namespace ep

@@ -12,6 +12,7 @@
 #include "eplace/global_placer.h"
 #include "eplace/supervisor.h"
 #include "gen/generator.h"
+#include "gen/suites.h"
 #include "qp/initial_place.h"
 #include "util/context.h"
 
@@ -78,6 +79,14 @@ RunOutcome runMixedFlow(std::uint64_t seed, int threads) {
   return {movablePositions(db), res.finalHpwl, res.mgp.iterations};
 }
 
+/// mIP alone on a `threads`-worker context: its CG runs on the pool.
+std::vector<double> runMip(const char* suiteName, int threads) {
+  RuntimeContext ctx(threads);
+  PlacementDB db = generateCircuit(suiteSpec(suiteName));
+  quadraticInitialPlace(db, {}, &ctx);
+  return movablePositions(db);
+}
+
 using Determinism = ::testing::Test;
 
 TEST_F(Determinism, MgpOneVsFourThreads) {
@@ -113,6 +122,18 @@ TEST_F(Determinism, OddThreadCountMatchesToo) {
   const RunOutcome serial = runMgp(14, 1);
   const RunOutcome three = runMgp(14, 3);
   expectBitIdentical(serial.positions, three.positions);
+}
+
+TEST_F(Determinism, InitialPlaceOneThreeFourThreads) {
+  // scale_1k stays below the pool's grain (its CG runs inline);
+  // mms_bigblue2s has ~3.2k movables, so the SpMV and vector updates are
+  // really split, unevenly at 3 threads.
+  for (const char* name : {"scale_1k", "mms_bigblue2s"}) {
+    SCOPED_TRACE(name);
+    const std::vector<double> serial = runMip(name, 1);
+    expectBitIdentical(serial, runMip(name, 3));
+    expectBitIdentical(serial, runMip(name, 4));
+  }
 }
 
 }  // namespace

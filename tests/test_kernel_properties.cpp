@@ -4,14 +4,18 @@
 // differences, and the ThreadPool's partitioning/reduction/error contracts.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numbers>
 #include <random>
 #include <stdexcept>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -617,6 +621,105 @@ TEST(ThreadPoolProperties, TryParallelForConvertsThrowToStatus) {
         if (b == 0) throw std::runtime_error("task failed");
       });
   EXPECT_EQ(bad.code(), StatusCode::kInternal);
+}
+
+// The dispatch fast path is lock-free (workers spin on an epoch, the
+// caller on a pending count) and falls back to parking on condition
+// variables; these cases drive both paths and the hand-over between them.
+
+/// Runs one job of `n` indices that bumps hits[i]; returns false if any
+/// partition saw bounds other than the documented [p*n/P, (p+1)*n/P).
+bool countHits(ThreadPool& pool, std::size_t n, std::vector<int>& hits) {
+  std::atomic<bool> boundsOk{true};
+  const auto parts = static_cast<std::size_t>(pool.threads());
+  pool.parallelFor(n, [&](std::size_t p, std::size_t b, std::size_t e) {
+    if (n >= ThreadPool::kGrain &&
+        (b != p * n / parts || e != (p + 1) * n / parts)) {
+      boundsOk = false;
+    }
+    for (std::size_t i = b; i < e; ++i) ++hits[i];
+  });
+  return boundsOk;
+}
+
+TEST(ThreadPoolProperties, BackToBackJobsAroundGrainCoverEveryIndex) {
+  ThreadPool pool(4);
+  constexpr std::size_t g = ThreadPool::kGrain;
+  const std::size_t sizes[] = {g - 1, g, g + 1, 2 * g + 3};
+  std::vector<int> hits(2 * g + 3, 0);
+  std::vector<int> expected(hits.size(), 0);
+  const int jobs = 100000;
+  for (int j = 0; j < jobs; ++j) {
+    const std::size_t n = sizes[j % 4];
+    ASSERT_TRUE(countHits(pool, n, hits)) << "job " << j;
+  }
+  for (int k = 0; k < 4; ++k) {
+    for (std::size_t i = 0; i < sizes[k]; ++i) expected[i] += jobs / 4;
+  }
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i], expected[i]) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolProperties, ParkedWorkersWakeForResultsAndExceptions) {
+  ThreadPool pool(4);
+  const std::size_t n = 3 * ThreadPool::kGrain;
+  std::vector<int> hits(n, 0);
+  ASSERT_TRUE(countHits(pool, n, hits));
+  // Idle long enough that every worker exhausts its spin and parks.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(countHits(pool, n, hits));
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], 2) << "index " << i;
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_THROW(pool.parallelFor(n,
+                                [&](std::size_t p, std::size_t, std::size_t) {
+                                  if (p == 3) throw std::runtime_error("late");
+                                }),
+               std::runtime_error);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_TRUE(countHits(pool, n, hits));
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], 3) << "index " << i;
+}
+
+TEST(ThreadPoolProperties, TwoPoolsDrivenConcurrently) {
+  const std::size_t n = 5 * ThreadPool::kGrain + 7;
+  const int jobs = 5000;
+  std::vector<int> hitsA(n, 0), hitsB(n, 0);
+  bool okA = true, okB = true;
+  auto drive = [&](int threads, std::vector<int>& hits, bool& ok) {
+    ThreadPool pool(threads);
+    for (int j = 0; j < jobs && ok; ++j) ok = countHits(pool, n, hits);
+  };
+  std::thread a(drive, 2, std::ref(hitsA), std::ref(okA));
+  std::thread b(drive, 3, std::ref(hitsB), std::ref(okB));
+  a.join();
+  b.join();
+  EXPECT_TRUE(okA);
+  EXPECT_TRUE(okB);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(hitsA[i], jobs) << "index " << i;
+    ASSERT_EQ(hitsB[i], jobs) << "index " << i;
+  }
+}
+
+TEST(ThreadPoolProperties, DestructionRightAfterAJobAndAfterIdling) {
+  const std::size_t n = 2 * ThreadPool::kGrain;
+  std::vector<int> hits(n, 0);
+  int jobs = 0;
+  for (int round = 0; round < 50; ++round) {  // workers still spinning
+    ThreadPool pool(4);
+    ASSERT_TRUE(countHits(pool, n, hits));
+    ++jobs;
+  }
+  {  // workers parked
+    ThreadPool pool(4);
+    ASSERT_TRUE(countHits(pool, n, hits));
+    ++jobs;
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  { ThreadPool never(4); }  // workers never woken
+  for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(hits[i], jobs) << "index " << i;
 }
 
 }  // namespace

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "qp/b2b.h"
 #include "qp/initial_place.h"
 #include "qp/sparse.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "wirelength/wl.h"
 
@@ -18,7 +22,7 @@ TEST(Sparse, BuildAndMultiply) {
   b.addDiag(2, 1.0);
   b.addOffDiag(0, 1, -1.0);
   b.addDiag(0, 0.5);  // duplicate coordinates sum
-  const Csr A = b.build();
+  const Csr A = std::move(b).build();
   EXPECT_EQ(A.n, 3);
   std::vector<double> x{1.0, 2.0, 3.0}, y(3);
   A.multiply(x, y);
@@ -30,7 +34,7 @@ TEST(Sparse, BuildAndMultiply) {
 TEST(Sparse, AddSpring) {
   CooBuilder b(2);
   b.addSpring(0, 1, 4.0);
-  const Csr A = b.build();
+  const Csr A = std::move(b).build();
   std::vector<double> x{1.0, -1.0}, y(2);
   A.multiply(x, y);
   // A = [[4,-4],[-4,4]]; A x = [8, -8].
@@ -52,7 +56,7 @@ TEST(Sparse, CgSolvesRandomSpdSystem) {
       }
     }
   }
-  const Csr A = b.build();
+  const Csr A = std::move(b).build();
   std::vector<double> xTrue(static_cast<std::size_t>(n));
   for (auto& v : xTrue) v = rng.uniform(-3.0, 3.0);
   std::vector<double> rhs(static_cast<std::size_t>(n));
@@ -66,19 +70,73 @@ TEST(Sparse, CgSolvesRandomSpdSystem) {
   }
 }
 
-TEST(Sparse, CgWarmStartFewerIterations) {
+/// A 50-variable tridiagonal SPD system.
+Csr tridiagonalSystem() {
   const std::int32_t n = 50;
   Rng rng(13);
   CooBuilder b(n);
   for (std::int32_t i = 0; i < n; ++i) b.addDiag(i, 5.0 + rng.uniform());
   for (std::int32_t i = 0; i + 1 < n; ++i) b.addOffDiag(i, i + 1, -1.0);
-  const Csr A = b.build();
-  std::vector<double> rhs(static_cast<std::size_t>(n), 1.0);
-  std::vector<double> cold(static_cast<std::size_t>(n), 0.0);
+  return std::move(b).build();
+}
+
+TEST(Sparse, CgWarmStartFewerIterations) {
+  const Csr A = tridiagonalSystem();
+  std::vector<double> rhs(static_cast<std::size_t>(A.n), 1.0);
+  std::vector<double> cold(static_cast<std::size_t>(A.n), 0.0);
   const auto coldRes = cgSolve(A, rhs, cold, 500, 1e-10);
   auto warm = cold;  // exact solution as the start
   const auto warmRes = cgSolve(A, rhs, warm, 500, 1e-10);
   EXPECT_LT(warmRes.iterations, coldRes.iterations);
+}
+
+TEST(Sparse, CgIterationCountAtCapIsMaxIter) {
+  const Csr A = tridiagonalSystem();
+  const std::vector<double> rhs(static_cast<std::size_t>(A.n), 1.0);
+  std::vector<double> x(static_cast<std::size_t>(A.n), 0.0);
+  const auto res = cgSolve(A, rhs, x, 3, 1e-10);
+  EXPECT_EQ(res.iterations, 3);
+  EXPECT_GT(res.residual, 1e-10);  // the cap, not convergence, stopped it
+}
+
+TEST(Sparse, CgIterationCountOnConvergenceUnchanged) {
+  // A converged solve counts the steps taken before the residual test
+  // passed; the value is pinned so the count's meaning cannot drift.
+  const Csr A = tridiagonalSystem();
+  const std::vector<double> rhs(static_cast<std::size_t>(A.n), 1.0);
+  std::vector<double> x(static_cast<std::size_t>(A.n), 0.0);
+  const auto res = cgSolve(A, rhs, x, 500, 1e-10);
+  EXPECT_LT(res.residual, 1e-10);
+  EXPECT_EQ(res.iterations, 14);
+}
+
+TEST(Sparse, PooledCgBitIdenticalToSerial) {
+  // Large enough that the pool really splits the SpMV and vector updates.
+  const std::int32_t n = 20000;
+  Rng rng(17);
+  CooBuilder b(n);
+  for (std::int32_t i = 0; i < n; ++i) b.addDiag(i, 4.0 + rng.uniform());
+  for (std::int32_t i = 0; i + 1 < n; ++i) b.addOffDiag(i, i + 1, -1.0);
+  for (std::int32_t i = 0; i + 97 < n; i += 3) b.addOffDiag(i, i + 97, -0.5);
+  const Csr A = std::move(b).build();
+  std::vector<double> rhs(static_cast<std::size_t>(n));
+  for (auto& v : rhs) v = rng.uniform(-1.0, 1.0);
+
+  std::vector<double> serial(static_cast<std::size_t>(n), 0.0);
+  const auto ref = cgSolve(A, rhs, serial, 200, 1e-12);
+  for (const int threads : {2, 3, 4}) {
+    ThreadPool pool(threads);
+    std::vector<double> par(static_cast<std::size_t>(n), 0.0);
+    const auto res = cgSolve(A, rhs, par, 200, 1e-12, &pool);
+    EXPECT_EQ(res.iterations, ref.iterations);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(res.residual),
+              std::bit_cast<std::uint64_t>(ref.residual));
+    for (std::size_t i = 0; i < par.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(par[i]),
+                std::bit_cast<std::uint64_t>(serial[i]))
+          << "threads " << threads << " index " << i;
+    }
+  }
 }
 
 /// Two movables on a 2-pin net each anchored to fixed pads: the quadratic
@@ -106,7 +164,7 @@ TEST(B2B, TwoPinNetsSolveToFixedAverage) {
   CooBuilder builder(1);
   std::vector<double> rhs(1, 0.0);
   buildB2B(db, Axis::kX, objToVar, x, builder, rhs);
-  const Csr A = builder.build();
+  const Csr A = std::move(builder).build();
   std::vector<double> sol{50.0};
   cgSolve(A, rhs, sol, 100, 1e-12);
   // B2B on 2-pin nets is exact: weights cancel so the optimum is where the
@@ -122,7 +180,7 @@ TEST(B2B, TwoPinNetsSolveToFixedAverage) {
   std::vector<double> rhs2(1, 0.0);
   buildB2B(db, Axis::kX, objToVar, x2, b2, rhs2);
   std::vector<double> sol2{0.0};
-  cgSolve(b2.build(), rhs2, sol2, 100, 1e-12);
+  cgSolve(std::move(b2).build(), rhs2, sol2, 100, 1e-12);
   EXPECT_NEAR(sol2[0], 20.0, 1e-6);
 }
 
@@ -148,7 +206,7 @@ TEST(B2B, PinOffsetsShiftSolution) {
   std::vector<double> rhs(1, 0.0);
   buildB2B(db, Axis::kX, objToVar, x, builder, rhs);
   std::vector<double> sol{10.0};
-  cgSolve(builder.build(), rhs, sol, 100, 1e-12);
+  cgSolve(std::move(builder).build(), rhs, sol, 100, 1e-12);
   EXPECT_NEAR(sol[0], 47.0, 1e-6);
 }
 
