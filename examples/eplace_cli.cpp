@@ -17,7 +17,8 @@
 //                            (0 = stage boundaries only)
 //     --resume <dir>         resume from the newest valid snapshot in <dir>
 //                            (implies --supervised)
-//     --stage-budget <sec>   per-stage wall budget for the supervisor
+//     --stage-budget <sec>   wall budget for each of mGP, mLG, cGP and cDP
+//                            (mIP runs once with no budget)
 //     --stage-attempts <n>   per-stage retry cap for the supervisor
 //     --multilevel           multilevel V-cycle mGP for large designs
 //                            (implies --supervised; docs/SCALING.md)
@@ -212,7 +213,6 @@ int main(int argc, char** argv) {
       supervised = true;
     } else if (a == "--stage-budget" && i + 1 < argc) {
       const double budget = std::atof(argv[++i]);
-      sup.mip.timeBudgetSeconds = budget;
       sup.mgp.timeBudgetSeconds = budget;
       sup.mlg.timeBudgetSeconds = budget;
       sup.cgp.timeBudgetSeconds = budget;

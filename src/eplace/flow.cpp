@@ -8,6 +8,11 @@
 
 namespace ep {
 
+/// Filler-only iterations before cGP (Sec. VI-B).
+constexpr int kFillerOnlyIterations = 20;
+/// cGP rewinds lambda by 1.1^-m with m = mGP iterations / this (Sec. VI-B).
+constexpr int kCgpBufferDivisor = 10;
+
 StageMetrics flowStageMetrics(const PlacementDB& db, double seconds,
                               int iterations) {
   StageMetrics m;
@@ -44,12 +49,7 @@ void flowStageMgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   }
   st.res.mgpResult = mgp.run(trace, ctl);
   st.fillers = mgp.fillers();
-  st.res.mgpInner = mgp.breakdown();
-  const double stageTotal = t.seconds();
-  st.res.mgpInner.add("other", stageTotal - st.res.mgpInner.get("density") -
-                                   st.res.mgpInner.get("wirelength") -
-                                   st.res.mgpInner.get("other"));
-  st.res.mgp = flowStageMetrics(db, stageTotal, st.res.mgpResult.iterations);
+  st.res.mgp = flowStageMetrics(db, t.seconds(), st.res.mgpResult.iterations);
 }
 
 void flowStageMlg(PlacementDB& db, FlowState& st) {
@@ -69,14 +69,13 @@ void flowFreezeMacros(PlacementDB& db) {
 void flowStageCgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   Timer t;
   GpConfig gpc = st.cfg.gp;
-  const int m = std::max(1, st.res.mgpResult.iterations /
-                                std::max(1, st.cfg.cgpBufferDivisor));
+  const int m = std::max(1, st.res.mgpResult.iterations / kCgpBufferDivisor);
   gpc.initialLambda = st.res.mgpResult.finalLambda *
                       std::pow(gpc.lambdaMultMax, -static_cast<double>(m));
   GlobalPlacer cgp(db, db.movable(), gpc, st.ctx);
   cgp.setFillers(st.fillers);
   if (st.cfg.enableFillerOnly && ctl.resume == nullptr) {
-    cgp.runFillerOnly(st.cfg.fillerOnlyIterations);
+    cgp.runFillerOnly(kFillerOnlyIterations);
   }
   GlobalPlacer::TraceFn trace;
   if (st.cfg.gpTrace) {

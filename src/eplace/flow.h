@@ -37,9 +37,7 @@ struct FlowConfig {
   GpConfig gp;  ///< used by mGP and (with rewound lambda) cGP
   MlgConfig mlg;
   DetailConfig detail;
-  int fillerOnlyIterations = 20;  ///< Sec. VI-B
-  int cgpBufferDivisor = 10;      ///< m = mGP iterations / 10
-  bool enableFillerOnly = true;   ///< Sec. VI-B ablation switch
+  bool enableFillerOnly = true;  ///< Sec. VI-B ablation switch
   bool runDetail = true;
   /// Per-iteration hook for the global placement stages; `stage` is "mGP"
   /// or "cGP" (the filler-only prelude moves no real objects and is not
@@ -77,7 +75,6 @@ struct FlowResult {
   MlgResult mlgResult;
   LegalizeResult legalizeResult;
   DetailResult detailResult;
-  TimeBreakdown mgpInner;  ///< "density"/"wirelength"/"other" (Fig. 7)
   double totalSeconds = 0.0;
   /// OK for a clean run. kNumericalDivergence / kTimeout when a placement
   /// stage degraded gracefully (the first failing stage wins); the result

@@ -10,11 +10,19 @@
 #include "util/log.h"
 #include "util/parallel.h"
 #include "util/stats.h"
+#include "util/timer.h"
 #include "wirelength/wl.h"
 
 namespace ep {
 
 namespace {
+
+/// Lower bound of the per-iteration lambda multiplier mu.
+constexpr double kLambdaMultMin = 0.95;
+/// HPWL delta, as a fraction of the stage-start HPWL, that maps to mu = 1.
+constexpr double kRefHpwlDeltaFrac = 1e-2;
+/// Steplength multiplier applied on a health rollback (cool restart).
+constexpr double kAlphaResetScale = 0.1;
 
 /// Grid resolution per config / auto rule.
 std::size_t gridDim(std::size_t cfgDim, std::size_t numObjects) {
@@ -52,7 +60,6 @@ struct GlobalPlacer::Engine {
   PlacementDB& db;
   const GpConfig& cfg;
   FillerSet& fillers;
-  TimeBreakdown& breakdown;
 
   std::size_t nCells = 0;    // optimized movable objects
   std::size_t nFillers = 0;
@@ -78,15 +85,16 @@ struct GlobalPlacer::Engine {
   double gammaX = 1.0, gammaY = 1.0;
   double lambda = 0.0;
   double smoothWl = 0.0;  // last W~ value
+  double densitySeconds = 0.0;     // Fig. 7 split, summed over evalGrad
+  double wirelengthSeconds = 0.0;
 
   Engine(RuntimeContext& rcIn, PlacementDB& dbIn,
          const std::vector<std::int32_t>& movables, const GpConfig& cfgIn,
-         FillerSet& fillersIn, TimeBreakdown& bd)
+         FillerSet& fillersIn)
       : rc(rcIn),
         db(dbIn),
         cfg(cfgIn),
         fillers(fillersIn),
-        breakdown(bd),
         gridCharge(rcIn.memory(),
                    gridDim(cfgIn.gridNx, movables.size() + fillersIn.size()),
                    gridDim(cfgIn.gridNy, movables.size() + fillersIn.size())),
@@ -180,18 +188,14 @@ struct GlobalPlacer::Engine {
   double evalGrad(std::span<const double> v, std::span<double> grad) {
     const auto x = v.subspan(0, nVars);
     const auto y = v.subspan(nVars, nVars);
-    {
-      ScopedTimer t(breakdown, "density");
-      density.update(allCharges(x, y), pool);
-      density.gradient(allCharges(x, y), gxD, gyD, pool);
-    }
-    double wl = 0.0;
-    {
-      ScopedTimer t(breakdown, "wirelength");
-      const VarView view{&db, objToVar, x, y};
-      wl = wlEval.waGrad(view, gammaX, gammaY, gxW, gyW, pool);
-    }
-    smoothWl = wl;
+    const Timer td;
+    density.update(allCharges(x, y), pool);
+    density.gradient(allCharges(x, y), gxD, gyD, pool);
+    densitySeconds += td.seconds();
+    const Timer tw;
+    const VarView view{&db, objToVar, x, y};
+    smoothWl = wlEval.waGrad(view, gammaX, gammaY, gxW, gyW, pool);
+    wirelengthSeconds += tw.seconds();
     auto assemble = [&](std::size_t, std::size_t i0, std::size_t i1) {
       for (std::size_t i = i0; i < i1; ++i) {
         const double pre = cfg.enablePreconditioner
@@ -210,7 +214,7 @@ struct GlobalPlacer::Engine {
         inj.corrupt(grad, *f);
       }
     }
-    return wl + lambda * density.energy();
+    return smoothWl + lambda * density.energy();
   }
 
   void project(std::span<double> v) const {
@@ -305,7 +309,7 @@ void GlobalPlacer::runFillerOnly(int iterations) {
   if (fillers_.size() == 0 || iterations <= 0) return;
   // Dedicated engine: no movable cells, all real objects static charges.
   std::vector<std::int32_t> none;
-  Engine eng(ctx_, db_, none, cfg_, fillers_, breakdown_);
+  Engine eng(ctx_, db_, none, cfg_, fillers_);
   // Pin every movable object as a static charge, gathered from the view
   // (the engine constructor just synced it) via arena buffers.
   const PlacementView& pv = db_.view();
@@ -352,7 +356,7 @@ void GlobalPlacer::runFillerOnly(int iterations) {
 
 GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
   GpResult result;
-  Engine eng(ctx_, db_, movables_, cfg_, fillers_, breakdown_);
+  Engine eng(ctx_, db_, movables_, cfg_, fillers_);
   if (eng.nVars == 0) return result;
 
   NesterovConfig ncfg = cfg_.nesterov;
@@ -426,7 +430,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
     refHpwl = prevHpwl;
   }
   const double refDelta =
-      std::max(1e-12, cfg_.refHpwlDeltaFrac * std::max(refHpwl, 1.0));
+      std::max(1e-12, kRefHpwlDeltaFrac * std::max(refHpwl, 1.0));
 
   // Best-so-far checkpoint for rollback recovery. The start state is a
   // valid (if poor) fallback: its positions are finite by the scan above
@@ -469,12 +473,8 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
     }
     const auto info = opt.step();
 
-    double curHpwl, tau;
-    {
-      ScopedTimer t(breakdown_, "other");
-      curHpwl = eng.exactHpwl(opt.solution());
-      tau = eng.overflow(opt.solution());
-    }
+    const double curHpwl = eng.exactHpwl(opt.solution());
+    const double tau = eng.overflow(opt.solution());
 
     const HealthEvent ev = monitor.observe(iter, curHpwl, tau, opt.solution(),
                                            info.gradNorm, wall.seconds());
@@ -516,7 +516,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
           healthEventName(ev), iter, curHpwl, tau, best.iter, recoveries,
           cfg_.health.maxRecoveries);
       opt.restore(best.snap);
-      opt.coolRestart(cfg_.health.alphaResetScale);
+      opt.coolRestart(kAlphaResetScale);
       eng.lambda = best.lambda;
       eng.updateGamma(best.tau);
       monitor.resetAfterRollback(best.hpwl, best.tau);
@@ -524,20 +524,17 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
       continue;  // this iteration produced no usable metrics
     }
 
-    {
-      ScopedTimer t(breakdown_, "other");
-      eng.updateGamma(tau);
+    eng.updateGamma(tau);
 
-      // Penalty schedule: aggressive while HPWL holds, relaxed when it
-      // degrades (RePlAce-style mu).
-      const double dHpwl = curHpwl - prevHpwl;
-      double mu = dHpwl < 0.0
-                      ? cfg_.lambdaMultMax
-                      : std::pow(cfg_.lambdaMultMax, 1.0 - dHpwl / refDelta);
-      mu = std::clamp(mu, cfg_.lambdaMultMin, cfg_.lambdaMultMax);
-      eng.lambda *= mu;
-      prevHpwl = curHpwl;
-    }
+    // Penalty schedule: aggressive while HPWL holds, relaxed when it
+    // degrades (RePlAce-style mu).
+    const double dHpwl = curHpwl - prevHpwl;
+    double mu = dHpwl < 0.0
+                    ? cfg_.lambdaMultMax
+                    : std::pow(cfg_.lambdaMultMax, 1.0 - dHpwl / refDelta);
+    mu = std::clamp(mu, kLambdaMultMin, cfg_.lambdaMultMax);
+    eng.lambda *= mu;
+    prevHpwl = curHpwl;
 
     // Refresh the checkpoint on the configured cadence whenever spreading
     // has not regressed: overflow is the progress metric of the stage.
@@ -581,6 +578,8 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
   result.finalOverflow = eng.overflow(opt.solution());
   result.finalLambda = eng.lambda;
   result.gradEvals = opt.evalCount();
+  result.densitySeconds = eng.densitySeconds;
+  result.wirelengthSeconds = eng.wirelengthSeconds;
   result.backtracks = opt.backtrackCount();
   ctx_.stats().add("gp.iterations", static_cast<double>(iter));
   ctx_.stats().add("gp.gradEvals", static_cast<double>(result.gradEvals));

@@ -26,7 +26,6 @@
 #include "opt/health.h"
 #include "opt/nesterov.h"
 #include "util/status.h"
-#include "util/timer.h"
 
 namespace ep {
 
@@ -41,11 +40,8 @@ struct GpConfig {
   bool enablePreconditioner = true;  ///< Sec. V-D ablation switch
   bool enableBacktracking = true;    ///< Sec. V-C ablation switch
   bool enableMomentum = true;        ///< degrade to gradient descent
-  /// lambda multiplier bounds and the HPWL delta (relative to initial HPWL)
-  /// that maps to mu = 1.0.
+  /// Upper bound of the per-iteration lambda multiplier mu.
   double lambdaMultMax = 1.1;
-  double lambdaMultMin = 0.95;
-  double refHpwlDeltaFrac = 1e-2;
   /// Override the initial lambda (cGP uses lambda_mGP * 1.1^-m, Sec. VI-B).
   std::optional<double> initialLambda;
   std::uint64_t fillerSeed = 7;
@@ -82,6 +78,12 @@ struct GpResult {
   Status status;
   int recoveries = 0;      ///< rollback-and-recover events that succeeded
   bool timedOut = false;   ///< stage wall-clock budget expired
+  /// Wall seconds in the density (charge stamping, spectral solve, field
+  /// gather) and wirelength (WA gradient) halves of every gradient
+  /// evaluation: the Fig. 7 split. "Other" is the stage's seconds minus
+  /// both.
+  double densitySeconds = 0.0;
+  double wirelengthSeconds = 0.0;
 };
 
 /// Mid-stage checkpoint of a GP run: the optimizer snapshot plus the
@@ -94,7 +96,7 @@ struct GpCheckpointState {
   double lambda = 0.0;
   double tau = 0.0;       ///< overflow at the checkpoint (gamma schedule)
   double prevHpwl = 0.0;  ///< last HPWL sample (mu schedule)
-  double refHpwl = 0.0;   ///< stage-start HPWL anchoring refHpwlDeltaFrac
+  double refHpwl = 0.0;   ///< stage-start HPWL anchoring the mu schedule
   int iter = 0;           ///< next iteration index to run
 };
 
@@ -140,8 +142,6 @@ class GlobalPlacer {
   GpResult run(TraceFn trace = {}, const GpRunControl& ctl = {});
 
   [[nodiscard]] double lambda() const { return lambda_; }
-  /// Stage-internal runtime split (Fig. 7: density vs wirelength vs other).
-  [[nodiscard]] const TimeBreakdown& breakdown() const { return breakdown_; }
 
  private:
   struct Engine;  // internal arrays + callbacks, built per run
@@ -151,7 +151,6 @@ class GlobalPlacer {
   GpConfig cfg_;
   FillerSet fillers_;
   double lambda_ = 0.0;
-  TimeBreakdown breakdown_;
 };
 
 }  // namespace ep

@@ -1,15 +1,14 @@
 #include "eplace/supervisor.h"
 
-#include <dirent.h>
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "density/bingrid.h"
+#include "eplace/checkpoint.h"
 #include "util/context.h"
 #include "util/io.h"
 #include "util/log.h"
@@ -46,81 +45,17 @@ const char* supervisorEventKindName(SupervisorEvent::Kind k) {
 
 namespace {
 
-constexpr const char* kSnapPrefix = "snap_";
-constexpr const char* kSnapSuffix = ".epsnap";
-
-std::string snapFileName(int seq) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%s%06d%s", kSnapPrefix, seq, kSnapSuffix);
-  return buf;
-}
-
-/// Sequence number encoded in a snapshot file name, or -1.
-int snapSeqOf(const std::string& name) {
-  const std::size_t plen = std::string(kSnapPrefix).size();
-  const std::size_t slen = std::string(kSnapSuffix).size();
-  if (name.size() <= plen + slen) return -1;
-  if (name.compare(0, plen, kSnapPrefix) != 0) return -1;
-  if (name.compare(name.size() - slen, slen, kSnapSuffix) != 0) return -1;
-  int seq = 0;
-  for (std::size_t i = plen; i < name.size() - slen; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return -1;
-    seq = seq * 10 + (c - '0');
-  }
-  return seq;
-}
-
-/// Snapshot files in `dir`, sorted by ascending sequence number.
-std::vector<std::string> listSnapshotFiles(const std::string& dir) {
-  std::vector<std::string> files;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return files;
-  while (const dirent* e = ::readdir(d)) {
-    if (snapSeqOf(e->d_name) >= 0) files.emplace_back(e->d_name);
-  }
-  ::closedir(d);
-  std::sort(files.begin(), files.end(), [](const auto& a, const auto& b) {
-    return snapSeqOf(a) < snapSeqOf(b);
-  });
-  return files;
-}
-
-void makeDirs(const std::string& path) {
-  std::string cur;
-  for (std::size_t i = 0; i <= path.size(); ++i) {
-    if (i == path.size() || path[i] == '/') {
-      if (!cur.empty() && cur != "/") ::mkdir(cur.c_str(), 0755);
-    }
-    if (i < path.size()) cur += path[i];
-  }
-}
-
-/// Serialize positions straight from the view's SoA arrays (layout: all
-/// objects, interleaved lx,ly — the checkpoint wire format). Syncs the
-/// view first so movable entries are current at this stage boundary.
-std::vector<double> capturePositions(PlacementDB& db) {
-  PlacementView& pv = db.view();
-  pv.syncPositionsFromDb(db);
-  const auto lx = pv.lx();
-  const auto ly = pv.ly();
-  std::vector<double> pos;
-  pos.reserve(lx.size() * 2);
-  for (std::size_t i = 0; i < lx.size(); ++i) {
-    pos.push_back(lx[i]);
-    pos.push_back(ly[i]);
-  }
-  return pos;
-}
-
-void restorePositions(PlacementDB& db, const std::vector<double>& pos) {
-  PlacementView& pv = db.view();
-  for (std::size_t i = 0; i < db.objects.size(); ++i) {
-    db.objects[i].lx = pos[2 * i];
-    db.objects[i].ly = pos[2 * i + 1];
-    pv.setPosition(static_cast<std::int32_t>(i), pos[2 * i], pos[2 * i + 1]);
-  }
-}
+/// A GP retry relaxes the target overflow by this much per attempt.
+constexpr double kOverflowRetryRelax = 0.05;
+/// Legalization may end at most at this multiple of the pre-legal HPWL.
+constexpr double kLegalizeHpwlCap = 2.0;
+/// Detail placement may end at most at (1 + this) x the legalized HPWL.
+constexpr double kDetailRegressionTol = 1e-9;
+/// Seed of the retry-jitter RNG stream (saved in the "rng" section).
+constexpr std::uint64_t kPerturbSeed = 0x5EEDCAFEULL;
+/// Overflow target of a coarse V-cycle level, floored at the flat target:
+/// a coarse level is only a seed for the next-finer one.
+constexpr double kLevelTargetOverflow = 0.25;
 
 /// Invariant gate shared by every stage: all movables finite and inside the
 /// core region (both GP phases and mIP clamp into the region, so any
@@ -142,256 +77,6 @@ void appendNote(StageReport& rep, const std::string& note) {
   rep.note += note;
 }
 
-// --- snapshot payload codec ------------------------------------------------
-
-void putMetrics(ByteWriter& w, const StageMetrics& m) {
-  w.f64(m.hpwl);
-  w.f64(m.overflow);
-  w.f64(m.seconds);
-  w.i32(m.iterations);
-  w.u8(m.ran ? 1 : 0);
-}
-
-StageMetrics getMetrics(ByteReader& r) {
-  StageMetrics m;
-  m.hpwl = r.f64();
-  m.overflow = r.f64();
-  m.seconds = r.f64();
-  m.iterations = r.i32();
-  m.ran = r.u8() != 0;
-  return m;
-}
-
-/// Everything a resumed run needs to continue from where a snapshot was
-/// taken: the stage cursor, positions, the reused filler set, the
-/// supervisor's jitter RNG stream, restored per-stage metrics, and (for
-/// mid-GP snapshots) the full optimizer checkpoint.
-struct ResumeData {
-  FlowStage next = FlowStage::kMip;
-  bool mixedSize = false;
-  bool macrosFrozen = false;
-  int mgpIterations = 0;
-  double mgpFinalLambda = 0.0;
-  StatusCode mgpStatus = StatusCode::kOk;
-  StatusCode cgpStatus = StatusCode::kOk;
-  StageMetrics mip, mgp, mlg, cgp, cdp;
-  std::vector<double> positions;
-  FillerSet fillers;
-  std::uint64_t rng[4] = {};
-  bool hasGp = false;
-  GpCheckpointState gp;
-  /// Multilevel cursor: the ladder level the run was inside (-1 = flat
-  /// mGP or not in mGP). When >= 0 the "mlevel" section carries that
-  /// level's positions (and fillers for mid-level optimizer snapshots);
-  /// the ladder itself is rebuilt deterministically, never serialized.
-  int mgpLevel = -1;
-  std::vector<double> levelPositions;
-  FillerSet levelFillers;
-};
-
-SnapshotData buildSnapshot(PlacementDB& db, const FlowState& st,
-                           FlowStage next, bool macrosFrozen,
-                           const Rng& jitter, const GpCheckpointState* gp,
-                           int poolThreads, int mgpLevel,
-                           PlacementDB* levelDb,
-                           const FillerSet* levelFillers) {
-  SnapshotData snap;
-  {
-    ByteWriter w;
-    w.str(db.name);
-    w.u64(db.objects.size());
-    w.u64(db.nets.size());
-    w.u8(static_cast<std::uint8_t>(next));
-    w.u8(st.mixedSize ? 1 : 0);
-    w.u8(macrosFrozen ? 1 : 0);
-    w.i32(st.res.mgpResult.iterations);
-    w.f64(st.res.mgpResult.finalLambda);
-    w.u8(static_cast<std::uint8_t>(st.res.mgpResult.status.code()));
-    w.u8(static_cast<std::uint8_t>(st.res.cgpResult.status.code()));
-    putMetrics(w, st.res.mip);
-    putMetrics(w, st.res.mgp);
-    putMetrics(w, st.res.mlg);
-    putMetrics(w, st.res.cgp);
-    putMetrics(w, st.res.cdp);
-    w.i32(mgpLevel);  // trailing field; absent in pre-multilevel snapshots
-    snap.add("meta", w.take());
-  }
-  if (mgpLevel >= 0 && levelDb != nullptr) {
-    ByteWriter w;
-    w.i32(mgpLevel);
-    w.doubles(capturePositions(*levelDb));
-    w.f64(levelFillers->w);
-    w.f64(levelFillers->h);
-    w.doubles(levelFillers->cx);
-    w.doubles(levelFillers->cy);
-    snap.add("mlevel", w.take());
-  }
-  {
-    ByteWriter w;
-    w.doubles(capturePositions(db));
-    snap.add("positions", w.take());
-  }
-  {
-    ByteWriter w;
-    w.f64(st.fillers.w);
-    w.f64(st.fillers.h);
-    w.doubles(st.fillers.cx);
-    w.doubles(st.fillers.cy);
-    snap.add("fillers", w.take());
-  }
-  {
-    ByteWriter w;
-    std::uint64_t s[4];
-    jitter.saveState(s);
-    for (const auto word : s) w.u64(word);
-    snap.add("rng", w.take());
-  }
-  {
-    // Environment provenance. The thread count does not affect results
-    // (every kernel is thread-count deterministic) so readers ignore this
-    // section; it is recorded for forensics on traces from other machines.
-    ByteWriter w;
-    w.i32(poolThreads);
-    snap.add("env", w.take());
-  }
-  if (gp != nullptr) {
-    ByteWriter w;
-    w.doubles(gp->opt.u);
-    w.doubles(gp->opt.cur);
-    w.doubles(gp->opt.prev);
-    w.doubles(gp->opt.curGrad);
-    w.doubles(gp->opt.prevGrad);
-    w.f64(gp->opt.a);
-    w.f64(gp->opt.lastAlpha);
-    w.i32(gp->opt.iter);
-    w.f64(gp->lambda);
-    w.f64(gp->tau);
-    w.f64(gp->prevHpwl);
-    w.f64(gp->refHpwl);
-    w.i32(gp->iter);
-    snap.add("optimizer", w.take());
-  }
-  return snap;
-}
-
-Status decodeSnapshot(const SnapshotData& snap, const PlacementDB& db,
-                      ResumeData& rd) {
-  const auto* meta = snap.find("meta");
-  if (meta == nullptr) return Status::invalidInput("snapshot has no meta");
-  {
-    ByteReader r(*meta);
-    const std::string name = r.str();
-    const std::uint64_t nObj = r.u64();
-    const std::uint64_t nNets = r.u64();
-    const std::uint8_t next = r.u8();
-    rd.mixedSize = r.u8() != 0;
-    rd.macrosFrozen = r.u8() != 0;
-    rd.mgpIterations = r.i32();
-    rd.mgpFinalLambda = r.f64();
-    rd.mgpStatus = static_cast<StatusCode>(r.u8());
-    rd.cgpStatus = static_cast<StatusCode>(r.u8());
-    rd.mip = getMetrics(r);
-    rd.mgp = getMetrics(r);
-    rd.mlg = getMetrics(r);
-    rd.cgp = getMetrics(r);
-    rd.cdp = getMetrics(r);
-    // Pre-multilevel snapshots end here; treat the missing field as "flat".
-    rd.mgpLevel = r.remaining() >= sizeof(std::int32_t) ? r.i32() : -1;
-    if (!r.ok()) return Status::invalidInput("snapshot meta truncated");
-    if (next > static_cast<std::uint8_t>(FlowStage::kDone)) {
-      return Status::invalidInput("snapshot stage cursor out of range");
-    }
-    rd.next = static_cast<FlowStage>(next);
-    if (name != db.name || nObj != db.objects.size() ||
-        nNets != db.nets.size()) {
-      return Status::invalidInput("snapshot is for a different instance");
-    }
-  }
-  const auto* positions = snap.find("positions");
-  if (positions == nullptr) {
-    return Status::invalidInput("snapshot has no positions");
-  }
-  {
-    ByteReader r(*positions);
-    rd.positions = r.doubles();
-    if (!r.ok() || rd.positions.size() != 2 * db.objects.size()) {
-      return Status::invalidInput("snapshot positions malformed");
-    }
-    for (auto i : db.movable()) {
-      const auto k = static_cast<std::size_t>(i);
-      if (!std::isfinite(rd.positions[2 * k]) ||
-          !std::isfinite(rd.positions[2 * k + 1])) {
-        return Status::invalidInput("snapshot positions non-finite");
-      }
-    }
-  }
-  const auto* fillers = snap.find("fillers");
-  if (fillers == nullptr) return Status::invalidInput("snapshot has no fillers");
-  {
-    ByteReader r(*fillers);
-    rd.fillers.w = r.f64();
-    rd.fillers.h = r.f64();
-    rd.fillers.cx = r.doubles();
-    rd.fillers.cy = r.doubles();
-    if (!r.ok() || rd.fillers.cx.size() != rd.fillers.cy.size()) {
-      return Status::invalidInput("snapshot fillers malformed");
-    }
-  }
-  const auto* rng = snap.find("rng");
-  if (rng == nullptr) return Status::invalidInput("snapshot has no rng");
-  {
-    ByteReader r(*rng);
-    for (auto& word : rd.rng) word = r.u64();
-    if (!r.ok()) return Status::invalidInput("snapshot rng malformed");
-  }
-  if (rd.mgpLevel >= 0) {
-    const auto* ml = snap.find("mlevel");
-    if (ml == nullptr) {
-      return Status::invalidInput("snapshot level cursor without mlevel");
-    }
-    ByteReader r(*ml);
-    const std::int32_t lvl = r.i32();
-    rd.levelPositions = r.doubles();
-    rd.levelFillers.w = r.f64();
-    rd.levelFillers.h = r.f64();
-    rd.levelFillers.cx = r.doubles();
-    rd.levelFillers.cy = r.doubles();
-    if (!r.ok() || lvl != rd.mgpLevel || rd.levelPositions.empty() ||
-        rd.levelFillers.cx.size() != rd.levelFillers.cy.size()) {
-      return Status::invalidInput("snapshot mlevel section malformed");
-    }
-    for (const double v : rd.levelPositions) {
-      if (!std::isfinite(v)) {
-        return Status::invalidInput("snapshot level positions non-finite");
-      }
-    }
-  }
-  if (const auto* opt = snap.find("optimizer")) {
-    ByteReader r(*opt);
-    rd.gp.opt.u = r.doubles();
-    rd.gp.opt.cur = r.doubles();
-    rd.gp.opt.prev = r.doubles();
-    rd.gp.opt.curGrad = r.doubles();
-    rd.gp.opt.prevGrad = r.doubles();
-    rd.gp.opt.a = r.f64();
-    rd.gp.opt.lastAlpha = r.f64();
-    rd.gp.opt.iter = r.i32();
-    rd.gp.lambda = r.f64();
-    rd.gp.tau = r.f64();
-    rd.gp.prevHpwl = r.f64();
-    rd.gp.refHpwl = r.f64();
-    rd.gp.iter = r.i32();
-    const std::size_t n = rd.gp.opt.u.size();
-    if (!r.ok() || n == 0 || rd.gp.opt.cur.size() != n ||
-        rd.gp.opt.prev.size() != n || rd.gp.opt.curGrad.size() != n ||
-        rd.gp.opt.prevGrad.size() != n) {
-      return Status::invalidInput("snapshot optimizer state malformed");
-    }
-    rd.hasGp = true;
-  }
-  return Status::okStatus();
-}
-
 // --- the supervisor itself -------------------------------------------------
 
 struct Supervisor {
@@ -403,20 +88,15 @@ struct Supervisor {
   Rng jitter;
   bool macrosFrozen = false;
   int nextSeq = 0;
-  /// Mid-GP checkpoint restored from a snapshot; consumed by the first
-  /// attempt of the stage it belongs to.
-  GpCheckpointState resumeGp;
-  bool hasResumeGp = false;
-  FlowStage resumeGpStage = FlowStage::kMgp;
+  /// The snapshot this run resumed from. Its optimizer state (`hasGp`) is
+  /// consumed by the first attempt of the stage and ladder level it
+  /// belongs to; its level cursor picks where the ladder continues.
+  Checkpoint resume;
   /// Multilevel V-cycle state. The ladder is rebuilt deterministically on
   /// resume (coarsening depends only on the netlist, geometry, and the
   /// restored positions), so it is never serialized.
   ClusterLadder ladder;
   bool ladderBuilt = false;
-  int resumeGpLevel = -1;  ///< ladder level owning resumeGp (-1 = flat mGP)
-  int resumeLevel = -1;    ///< ladder level to continue at (-1 = none)
-  std::vector<double> resumeLevelPositions;
-  FillerSet resumeLevelFillers;
   /// Level currently running/checkpointing (drives the "mlevel" section).
   int curLevel = -1;
   PlacementDB* curLevelDb = nullptr;
@@ -439,7 +119,7 @@ struct Supervisor {
         db(database),
         sup(supervision),
         report(rep),
-        jitter(sup.perturbSeed),
+        jitter(kPerturbSeed),
         keepSnapshots(supervision.keepSnapshots) {
     st.cfg = cfg;
     st.ctx = &rc;
@@ -502,11 +182,11 @@ struct Supervisor {
       return;
     }
     const SnapshotData snap =
-        buildSnapshot(db, st, next, macrosFrozen, jitter, gp,
-                      rc.pool().threads(), curLevel, curLevelDb,
-                      &curLevelFillers);
-    const std::string path = sup.snapshotDir + "/" + snapFileName(nextSeq);
-    const Status s = writeSnapshotFile(path, snap, &rc.faults());
+        encodeCheckpoint(db, st, next, macrosFrozen, jitter, gp,
+                         rc.pool().threads(), curLevel, curLevelDb,
+                         &curLevelFillers);
+    const Status s = writeSnapshotFile(snapshotPath(sup.snapshotDir, nextSeq),
+                                       snap, &rc.faults());
     if (!s.ok()) {
       // A failing checkpoint must never fail the placement itself: emit a
       // recovery event, keep running un-checkpointed, and retry at the
@@ -538,81 +218,54 @@ struct Supervisor {
     emit(ev);
     ++nextSeq;
     ++report.snapshotsWritten;
-    prune();
+    pruneSnapshots(sup.snapshotDir, keepSnapshots);
   }
 
-  void prune() {
-    auto files = listSnapshotFiles(sup.snapshotDir);
-    const int keep = std::max(1, keepSnapshots);
-    while (static_cast<int>(files.size()) > keep) {
-      std::remove((sup.snapshotDir + "/" + files.front()).c_str());
-      files.erase(files.begin());
-    }
-  }
-
-  bool tryResume(ResumeData& rd) {
-    const auto files = listSnapshotFiles(sup.resumeDir);
-    for (auto it = files.rbegin(); it != files.rend(); ++it) {
-      const std::string path = sup.resumeDir + "/" + *it;
-      const auto sr = readSnapshotFile(path);
-      if (!sr.ok()) {
+  /// Loads the newest snapshot in sup.resumeDir that reads and decodes
+  /// for this instance into `resume`, counting every rejected one.
+  bool tryResume() {
+    const auto paths = listSnapshots(sup.resumeDir);
+    for (const std::string& path : paths) {
+      StatusOr<Checkpoint> cp = readCheckpoint(path, db);
+      if (!cp.ok()) {
         ++report.snapshotsRejected;
-        rc.log().warn("supervisor: rejected snapshot %s: %s", it->c_str(),
-                      sr.status().toString().c_str());
+        rc.log().warn("supervisor: rejected snapshot %s: %s", path.c_str(),
+                      cp.status().toString().c_str());
         continue;
       }
-      rd = ResumeData{};
-      const Status ds = decodeSnapshot(*sr, db, rd);
-      if (!ds.ok()) {
-        ++report.snapshotsRejected;
-        rc.log().warn("supervisor: rejected snapshot %s: %s", it->c_str(),
-                      ds.toString().c_str());
-        continue;
-      }
+      resume = std::move(*cp);
       rc.log().info("supervisor: resuming at %s from %s%s",
-                    flowStageName(rd.next), it->c_str(),
-                    rd.hasGp ? " (mid-stage optimizer state)" : "");
+                    flowStageName(resume.next), path.c_str(),
+                    resume.hasGp ? " (mid-stage optimizer state)" : "");
       return true;
     }
-    if (!files.empty()) {
+    if (!paths.empty()) {
       rc.log().warn("supervisor: no usable snapshot in %s; starting fresh",
                     sup.resumeDir.c_str());
     }
     return false;
   }
 
-  /// Restores everything a snapshot carries and emits `resumed` report rows
-  /// for the stages the snapshot already covers.
-  void applyResume(const ResumeData& rd) {
-    restorePositions(db, rd.positions);
-    st.mixedSize = rd.mixedSize;
-    st.fillers = rd.fillers;
-    jitter.loadState(rd.rng);
-    if (rd.macrosFrozen) {
+  /// Restores the flow state `resume` carries and emits `resumed` report
+  /// rows for the stages it already covers.
+  void applyResume() {
+    restorePositions(db, resume.positions);
+    st.mixedSize = resume.mixedSize;
+    st.fillers = std::move(resume.fillers);
+    st.res = std::move(resume.res);
+    jitter.loadState(resume.rng.data());
+    if (resume.macrosFrozen) {
       flowFreezeMacros(db);
       macrosFrozen = true;
-    }
-    st.res.mip = rd.mip;
-    st.res.mgp = rd.mgp;
-    st.res.mlg = rd.mlg;
-    st.res.cgp = rd.cgp;
-    st.res.cdp = rd.cdp;
-    st.res.mgpResult.iterations = rd.mgpIterations;
-    st.res.mgpResult.finalLambda = rd.mgpFinalLambda;
-    if (rd.mgpStatus != StatusCode::kOk) {
-      st.res.mgpResult.status = Status(rd.mgpStatus, "restored from snapshot");
-    }
-    if (rd.cgpStatus != StatusCode::kOk) {
-      st.res.cgpResult.status = Status(rd.cgpStatus, "restored from snapshot");
     }
     const struct {
       FlowStage stage;
       const StageMetrics& m;
-    } done[] = {{FlowStage::kMip, rd.mip},
-                {FlowStage::kMgp, rd.mgp},
-                {FlowStage::kMlg, rd.mlg},
-                {FlowStage::kCgp, rd.cgp},
-                {FlowStage::kCdp, rd.cdp}};
+    } done[] = {{FlowStage::kMip, st.res.mip},
+                {FlowStage::kMgp, st.res.mgp},
+                {FlowStage::kMlg, st.res.mlg},
+                {FlowStage::kCgp, st.res.cgp},
+                {FlowStage::kCdp, st.res.cdp}};
     for (const auto& d : done) {
       if (!d.m.ran) continue;
       StageReport rep;
@@ -622,20 +275,11 @@ struct Supervisor {
       rep.note = "restored from snapshot";
       report.stages.push_back(rep);
     }
-    resumeLevel = rd.mgpLevel;
-    resumeLevelPositions = rd.levelPositions;
-    resumeLevelFillers = rd.levelFillers;
-    if (rd.hasGp) {
-      resumeGp = rd.gp;
-      hasResumeGp = true;
-      resumeGpStage = rd.next;
-      resumeGpLevel = rd.mgpLevel;
-    }
     report.resumed = true;
-    report.resumeStage = rd.next;
+    report.resumeStage = resume.next;
     SupervisorEvent ev;
     ev.kind = SupervisorEvent::Kind::kResume;
-    ev.stage = rd.next;
+    ev.stage = resume.next;
     emit(ev);
   }
 
@@ -677,15 +321,15 @@ struct Supervisor {
     GpConfig gcfg = st.cfg.gp;
     gcfg.maxIterations = std::max(1, sup.multilevel.levelMaxIterations);
     gcfg.targetOverflow =
-        std::max(gcfg.targetOverflow, sup.multilevel.levelTargetOverflow);
+        std::max(gcfg.targetOverflow, kLevelTargetOverflow);
     GlobalPlacer gp(ldb, ldb.movable(), gcfg, &rc);
     GpRunControl ctl;
-    const bool resumeHere = hasResumeGp &&
-                            resumeGpStage == FlowStage::kMgp &&
-                            resumeGpLevel == k;
-    if (resumeHere && resumeLevelFillers.size() > 0) {
-      gp.setFillers(resumeLevelFillers);
-      ctl.resume = &resumeGp;
+    const bool resumeHere = resume.hasGp &&
+                            resume.next == FlowStage::kMgp &&
+                            resume.level == k;
+    if (resumeHere && resume.levelFillers.size() > 0) {
+      gp.setFillers(resume.levelFillers);
+      ctl.resume = &resume.gp;
     } else {
       gp.makeFillersFromDb();
     }
@@ -716,7 +360,7 @@ struct Supervisor {
                     "abandoning coarse levels",
                     k, e.what());
     }
-    if (resumeHere) hasResumeGp = false;
+    if (resumeHere) resume.hasGp = false;
     curLevel = -1;
     curLevelDb = nullptr;
     if (memBreach || !movablesFiniteInCore(ldb)) {
@@ -760,27 +404,25 @@ struct Supervisor {
     if (ladder.empty()) return;
     const int depth = static_cast<int>(ladder.depth());
     int start = depth - 1;
-    if (resumeLevel >= 0) {
+    if (resume.level >= 0) {
       // Continue at the snapshot's level when its shape matches the
       // deterministically rebuilt ladder; otherwise restart the ladder from
       // the top — correct either way, coarse levels are only seeds.
-      PlacementDB* ldb = resumeLevel < depth
-                             ? &ladder.levels[static_cast<std::size_t>(
-                                                  resumeLevel)]
-                                    .coarse
-                             : nullptr;
+      PlacementDB* ldb =
+          resume.level < depth
+              ? &ladder.levels[static_cast<std::size_t>(resume.level)].coarse
+              : nullptr;
       if (ldb != nullptr &&
-          resumeLevelPositions.size() == 2 * ldb->objects.size()) {
-        restorePositions(*ldb, resumeLevelPositions);
-        start = resumeLevel;
+          resume.levelPositions.size() == 2 * ldb->objects.size()) {
+        restorePositions(*ldb, resume.levelPositions);
+        start = resume.level;
       } else {
         rc.log().warn(
             "supervisor: snapshot level %d does not match the rebuilt "
             "ladder; restarting coarse levels",
-            resumeLevel);
-        if (resumeGpLevel >= 0) hasResumeGp = false;
+            resume.level);
+        resume.hasGp = false;
       }
-      resumeLevel = -1;
     }
     bumpStage(FlowStage::kMgp, "levels", static_cast<double>(start + 1));
     for (int k = start; k >= 0; --k) {
@@ -853,7 +495,7 @@ struct Supervisor {
           // Perturbed retry: relaxed density goal, re-seeded fillers.
           st.cfg.gp.targetOverflow =
               baseGp.targetOverflow +
-              static_cast<double>(attempt) * sup.overflowRetryRelax;
+              static_cast<double>(attempt) * kOverflowRetryRelax;
           st.cfg.gp.fillerSeed =
               baseGp.fillerSeed + 7919ULL * static_cast<std::uint64_t>(attempt);
           appendNote(rep, "retry with relaxed target overflow");
@@ -864,11 +506,11 @@ struct Supervisor {
             std::max(1e-3, pol.timeBudgetSeconds - t.seconds());
       }
       GpRunControl ctl;
-      if (attempt == 0 && hasResumeGp && resumeGpStage == stage &&
-          resumeGpLevel < 0) {
+      if (attempt == 0 && resume.hasGp && resume.next == stage &&
+          resume.level < 0) {
         // A checkpoint belonging to a coarse ladder level is consumed by
         // runOneCoarseLevel, never by the flat stage.
-        ctl.resume = &resumeGp;
+        ctl.resume = &resume.gp;
         rep.resumed = true;  // mid-stage continuation, still executed
       }
       if (sup.saveEvery > 0 && !sup.snapshotDir.empty()) {
@@ -909,7 +551,7 @@ struct Supervisor {
       if (!gate && !budgetLeft(pol, t)) break;
     }
     st.cfg.gp = baseGp;
-    if (hasResumeGp && resumeGpStage == stage) hasResumeGp = false;
+    if (resume.hasGp && resume.next == stage) resume.hasGp = false;
     if (accepted) {
       const GpResult& fin = isMgp ? st.res.mgpResult : st.res.cgpResult;
       bumpStage(stage, "recoveries", static_cast<double>(fin.recoveries));
@@ -997,7 +639,7 @@ struct Supervisor {
     if (!checkLegality(db).legal) return false;
     const double h = hpwl(db);
     if (!std::isfinite(h)) return false;
-    return preHpwl <= 0.0 || h <= preHpwl * sup.legalizeHpwlCap;
+    return preHpwl <= 0.0 || h <= preHpwl * kLegalizeHpwlCap;
   }
 
   void runCdp() {
@@ -1046,7 +688,7 @@ struct Supervisor {
       const double after = hpwl(db);
       const bool detailOk =
           std::isfinite(after) &&
-          after <= postLegalHpwl * (1.0 + sup.detailRegressionTol) &&
+          after <= postLegalHpwl * (1.0 + kDetailRegressionTol) &&
           checkLegality(db).legal && movablesFiniteInCore(db);
       if (!detailOk) {
         // Skip-cDP fallback: the legalized placement is the deliverable.
@@ -1090,17 +732,16 @@ struct Supervisor {
 
   StatusOr<FlowResult> run() {
     if (!sup.snapshotDir.empty()) {
-      makeDirs(sup.snapshotDir);
-      const auto existing = listSnapshotFiles(sup.snapshotDir);
-      if (!existing.empty()) nextSeq = snapSeqOf(existing.back()) + 1;
+      // A directory that cannot be created surfaces as a failed write at
+      // the first checkpoint (SupervisorEvent::kSnapshotFailed).
+      std::error_code ec;
+      std::filesystem::create_directories(sup.snapshotDir, ec);
+      nextSeq = nextSnapshotSeq(sup.snapshotDir);
     }
     FlowStage next = FlowStage::kMip;
-    if (!sup.resumeDir.empty()) {
-      ResumeData rd;
-      if (tryResume(rd)) {
-        applyResume(rd);
-        next = rd.next;
-      }
+    if (!sup.resumeDir.empty() && tryResume()) {
+      applyResume();
+      next = resume.next;
     }
     while (next != FlowStage::kDone) {
       if (rc.cancelled()) {
@@ -1183,7 +824,7 @@ struct Supervisor {
 
 SupervisorConfig plainPolicy() {
   SupervisorConfig sup;
-  for (StagePolicy* p : {&sup.mip, &sup.mgp, &sup.mlg, &sup.cgp, &sup.cdp}) {
+  for (StagePolicy* p : {&sup.mgp, &sup.mlg, &sup.cgp, &sup.cdp}) {
     p->maxAttempts = 1;
   }
   sup.allowFallbacks = false;

@@ -8,7 +8,8 @@
 // drops retries, fallbacks and snapshots):
 //
 //   * durable checkpoints — versioned, CRC-protected snapshots
-//     (util/snapshot.h) written atomically at every stage boundary and,
+//     (util/snapshot.h; payload and file ring in eplace/checkpoint.h)
+//     written atomically at every stage boundary and,
 //     inside the GP stages, every `saveEvery` iterations. A killed run
 //     restarts with `resumeDir` set and continues from the newest valid
 //     snapshot; a mid-GP snapshot resumes the exact iteration trajectory
@@ -99,8 +100,9 @@ using SupervisorProgressFn = std::function<void(const SupervisorEvent&)>;
 /// least `minMovable` movables, the supervisor builds a cluster ladder
 /// (src/cluster) after mIP and replaces the single flat mGP with
 /// mGP@Lk -> uncoarsen -> mGP@Lk-1 -> ... -> uncoarsen -> flat mGP. Coarse
-/// levels are cheap seeds: capped iterations, relaxed overflow target, and
-/// a per-level finite-in-core gate that rolls a diverged level back to its
+/// levels are cheap seeds: capped iterations, a relaxed overflow target
+/// (0.25, floored at GpConfig::targetOverflow), and a per-level
+/// finite-in-core gate that rolls a diverged level back to its
 /// uncoarsened seed instead of propagating garbage. Clustering is serial
 /// and the coarse GP runs use the same thread-count-deterministic kernels,
 /// so the full V-cycle stays bit-identical at any thread count, and the
@@ -113,12 +115,11 @@ struct MultilevelConfig {
   ClusterConfig cluster;
   /// Iteration cap per coarse level (a seed, not a final placement).
   int levelMaxIterations = 300;
-  /// Overflow target for coarse levels (floored at GpConfig::targetOverflow).
-  double levelTargetOverflow = 0.25;
 };
 
+/// mIP has no policy: it is deterministic (a retry would not differ) and
+/// runs once, unbudgeted, behind the finite/in-core gate.
 struct SupervisorConfig {
-  StagePolicy mip{1, 0.0};  ///< deterministic; a retry would not differ
   StagePolicy mgp{2, 0.0};
   StagePolicy mlg{3, 0.0};
   StagePolicy cgp{2, 0.0};
@@ -130,16 +131,10 @@ struct SupervisorConfig {
   std::string resumeDir;
   /// GP iterations between mid-stage snapshots (0 = boundaries only).
   int saveEvery = 0;
-  /// Snapshot files retained in the directory (ring; oldest pruned).
+  /// Snapshot files retained in the directory (ring; oldest pruned; see
+  /// eplace/checkpoint.h).
   int keepSnapshots = 4;
-  /// Added to GpConfig::targetOverflow per GP retry (relaxed density goal).
-  double overflowRetryRelax = 0.05;
-  /// Legalized HPWL may be at most this multiple of the pre-legal HPWL.
-  double legalizeHpwlCap = 2.0;
-  /// Detail placement may not end above (1 + this) x post-legalize HPWL.
-  double detailRegressionTol = 1e-9;
   bool allowFallbacks = true;
-  std::uint64_t perturbSeed = 0x5EEDCAFEULL;  ///< retry-jitter RNG stream
   /// Streaming progress hook (stage boundaries, snapshots, resume). Empty =
   /// no notifications. See SupervisorEvent for the callback contract.
   SupervisorProgressFn onProgress;

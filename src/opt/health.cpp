@@ -4,6 +4,20 @@
 
 namespace ep {
 
+/// Instantaneous HPWL above this multiple of its own exponential moving
+/// average counts as divergence (normal spreading moves HPWL a few percent
+/// per iteration; a 4x jump is an instability).
+constexpr double kHpwlBlowupRatio = 4.0;
+/// Overflow this far above the best overflow seen counts as divergence
+/// (tau decreases as spreading progresses; a large regression means the
+/// layout exploded). Absolute tau units.
+constexpr double kOverflowBlowupMargin = 0.3;
+/// Divergence checks engage only after this many iterations: the first
+/// steps legitimately reshuffle the layout.
+constexpr int kWarmupIterations = 10;
+/// EMA weight of the newest HPWL sample.
+constexpr double kHpwlSmoothing = 0.25;
+
 const char* healthEventName(HealthEvent e) {
   switch (e) {
     case HealthEvent::kOk:
@@ -56,21 +70,20 @@ HealthEvent HealthMonitor::observe(int iter, double hpwl, double overflow,
     return HealthEvent::kNonFinite;
   }
 
-  const bool warm = iter >= cfg_.warmupIterations;
-  if (warm && smoothedHpwl_ > 0.0 &&
-      hpwl > cfg_.hpwlBlowupRatio * smoothedHpwl_) {
+  const bool warm = iter >= kWarmupIterations;
+  if (warm && smoothedHpwl_ > 0.0 && hpwl > kHpwlBlowupRatio * smoothedHpwl_) {
     return HealthEvent::kDiverged;
   }
   if (warm && bestOverflow_ >= 0.0 &&
-      overflow > bestOverflow_ + cfg_.overflowBlowupMargin) {
+      overflow > bestOverflow_ + kOverflowBlowupMargin) {
     return HealthEvent::kDiverged;
   }
 
   // Healthy: fold the sample into the smoothed statistics.
   smoothedHpwl_ = smoothedHpwl_ < 0.0
                       ? hpwl
-                      : (1.0 - cfg_.hpwlSmoothing) * smoothedHpwl_ +
-                            cfg_.hpwlSmoothing * hpwl;
+                      : (1.0 - kHpwlSmoothing) * smoothedHpwl_ +
+                            kHpwlSmoothing * hpwl;
   if (bestOverflow_ < 0.0 || overflow < bestOverflow_) bestOverflow_ = overflow;
   return HealthEvent::kOk;
 }

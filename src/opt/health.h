@@ -21,21 +21,6 @@ struct HealthConfig {
   int checkpointEvery = 25;
   /// Rollback attempts before giving up and returning the best checkpoint.
   int maxRecoveries = 3;
-  /// Instantaneous HPWL above this multiple of its own exponential moving
-  /// average counts as divergence (normal spreading moves HPWL a few
-  /// percent per iteration; a 4x jump is an instability).
-  double hpwlBlowupRatio = 4.0;
-  /// Overflow this far above the best overflow seen counts as divergence
-  /// (tau decreases as spreading progresses; a large regression means the
-  /// layout exploded). Absolute tau units.
-  double overflowBlowupMargin = 0.3;
-  /// Divergence checks only engage after this many iterations — the first
-  /// steps legitimately reshuffle the layout.
-  int warmupIterations = 10;
-  /// EMA weight of the newest HPWL sample.
-  double hpwlSmoothing = 0.25;
-  /// Steplength multiplier applied on rollback (cool restart).
-  double alphaResetScale = 0.1;
   /// Wall-clock watchdog for one placement stage; 0 disables it.
   double timeBudgetSeconds = 0.0;
 };

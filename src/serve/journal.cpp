@@ -1,14 +1,9 @@
 #include "serve/journal.h"
 
-#include <dirent.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
+#include <filesystem>
+#include <limits>
 
 #include "util/io.h"
 
@@ -19,72 +14,35 @@ namespace {
 constexpr const char* kJobPrefix = "job_";
 constexpr const char* kJsonSuffix = ".json";
 
-void makeDirs(const std::string& path) {
-  std::string cur;
-  for (std::size_t i = 0; i <= path.size(); ++i) {
-    if (i == path.size() || path[i] == '/') {
-      if (!cur.empty() && cur != "/") ::mkdir(cur.c_str(), 0755);
-    }
-    if (i < path.size()) cur += path[i];
-  }
-}
-
 std::string jobFileName(std::uint64_t id) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%s%llu%s", kJobPrefix,
-                static_cast<unsigned long long>(id), kJsonSuffix);
-  return buf;
+  return kJobPrefix + std::to_string(id) + kJsonSuffix;
 }
 
-/// Id encoded in "job_<id>.json", or 0 on any mismatch (ids start at 1).
-std::uint64_t jobIdOf(const std::string& name) {
-  const std::size_t plen = std::string(kJobPrefix).size();
-  const std::size_t slen = std::string(kJsonSuffix).size();
-  if (name.size() <= plen + slen) return 0;
-  if (name.compare(0, plen, kJobPrefix) != 0) return 0;
-  if (name.compare(name.size() - slen, slen, kJsonSuffix) != 0) return 0;
-  std::uint64_t id = 0;
-  for (std::size_t i = plen; i < name.size() - slen; ++i) {
-    const char c = name[i];
-    if (c < '0' || c > '9') return 0;
-    id = id * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  return id;
-}
-
+/// Ids of the "job_<id>.json" files in `dir`, ascending (ids start at 1).
 std::vector<std::uint64_t> listJobIds(const std::string& dir) {
   std::vector<std::uint64_t> ids;
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) return ids;
-  while (const dirent* e = ::readdir(d)) {
-    const std::uint64_t id = jobIdOf(e->d_name);
-    if (id > 0) ids.push_back(id);
+  for (const io::NumberedFile& f :
+       io::listNumberedFiles(dir, kJobPrefix, kJsonSuffix,
+                             std::numeric_limits<std::uint64_t>::max())) {
+    if (f.number > 0) ids.push_back(f.number);
   }
-  ::closedir(d);
-  std::sort(ids.begin(), ids.end());
   return ids;
 }
 
 StatusOr<JsonValue> readJsonFile(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f.good()) return Status::ioError("cannot open " + path);
-  std::ostringstream buf;
-  buf << f.rdbuf();
-  return parseJson(buf.str());
-}
-
-bool fileExists(const std::string& path) {
-  struct stat st {};
-  return ::stat(path.c_str(), &st) == 0;
+  const StatusOr<std::string> text = io::readFile(path);
+  if (!text.ok()) return text.status();
+  return parseJson(*text);
 }
 
 }  // namespace
 
 Status JobStore::init() {
-  makeDirs(root_ + "/jobs");
-  makeDirs(root_ + "/results");
-  makeDirs(root_ + "/snaps");
-  if (!fileExists(root_ + "/jobs")) {
+  std::error_code ec;
+  for (const char* sub : {"/jobs", "/results", "/snaps"}) {
+    std::filesystem::create_directories(root_ + sub, ec);
+  }
+  if (!std::filesystem::is_directory(root_ + "/jobs", ec)) {
     return Status::ioError("cannot create job store under " + root_);
   }
   return Status::okStatus();
@@ -117,7 +75,8 @@ Status JobStore::writeResult(const JobOutcome& outcome) {
 }
 
 bool JobStore::hasResult(std::uint64_t id) const {
-  return fileExists(root_ + "/results/" + jobFileName(id));
+  std::error_code ec;
+  return std::filesystem::exists(root_ + "/results/" + jobFileName(id), ec);
 }
 
 StatusOr<JobOutcome> JobStore::readResult(std::uint64_t id) const {

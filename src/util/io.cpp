@@ -3,9 +3,11 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 
 #include "util/fault_injector.h"
 #include "util/log.h"
@@ -15,6 +17,13 @@ namespace ep::io {
 namespace {
 
 constexpr const char* kNoSpaceTag = "(ENOSPC)";
+
+/// Bounded deterministic retry for transient storage errors: attempt k
+/// (0-based) sleeps kBackoffMicros << (k-1) first, so a failing write waits
+/// 100us then 200us — enough to step over a transient EIO in tests and
+/// real life without turning a dead disk into a hang.
+constexpr int kWriteAttempts = 3;
+constexpr int kBackoffMicros = 100;
 
 Status ioError(const std::string& what, const std::string& path, int err) {
   return Status::ioError(what + " " + path + ": " + std::strerror(err) +
@@ -91,20 +100,33 @@ Status writeOnce(const std::string& path, const void* data, std::size_t n,
   return {};
 }
 
+/// Parses the decimal digits s[begin, end) into *out. False when a
+/// character is not a digit or the value would exceed `maxNumber` (checked
+/// before each multiply-add, so nothing ever wraps).
+bool parseDecimal(const std::string& s, std::size_t begin, std::size_t end,
+                  std::uint64_t maxNumber, std::uint64_t* out) {
+  std::uint64_t v = 0;
+  for (std::size_t i = begin; i < end; ++i) {
+    if (s[i] < '0' || s[i] > '9') return false;
+    const auto digit = static_cast<std::uint64_t>(s[i] - '0');
+    if (digit > maxNumber || v > (maxNumber - digit) / 10) return false;
+    v = v * 10 + digit;
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 Status writeFileDurably(const std::string& path, const void* data,
-                        std::size_t n, FaultInjector* faults,
-                        const RetryPolicy& retry) {
-  const int attempts = retry.maxAttempts < 1 ? 1 : retry.maxAttempts;
+                        std::size_t n, FaultInjector* faults) {
   Status last;
-  for (int attempt = 0; attempt < attempts; ++attempt) {
+  for (int attempt = 0; attempt < kWriteAttempts; ++attempt) {
     if (attempt > 0) {
       // Deterministic exponential backoff: 1x, 2x, 4x, ... the base.
-      ::usleep(static_cast<useconds_t>(retry.backoffMicros)
-               << (attempt - 1));
+      ::usleep(static_cast<useconds_t>(kBackoffMicros) << (attempt - 1));
       logDebug("io: retrying write of %s (attempt %d/%d): %s", path.c_str(),
-               attempt + 1, attempts, last.message().c_str());
+               attempt + 1, kWriteAttempts, last.message().c_str());
     }
     last = writeOnce(path, data, n, faults);
     if (last.ok()) return last;
@@ -116,8 +138,47 @@ Status writeFileDurably(const std::string& path, const void* data,
 }
 
 Status writeFileDurably(const std::string& path, const std::string& text,
-                        FaultInjector* faults, const RetryPolicy& retry) {
-  return writeFileDurably(path, text.data(), text.size(), faults, retry);
+                        FaultInjector* faults) {
+  return writeFileDurably(path, text.data(), text.size(), faults);
+}
+
+StatusOr<std::string> readFile(const std::string& path) {
+  std::FILE* in = std::fopen(path.c_str(), "rb");
+  if (in == nullptr) return ioError("cannot open", path, errno);
+  std::string out;
+  char buf[1 << 16];
+  std::size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) out.append(buf, n);
+  const int err = std::ferror(in) != 0 ? (errno != 0 ? errno : EIO) : 0;
+  std::fclose(in);
+  if (err != 0) return ioError("cannot read", path, err);
+  return out;
+}
+
+std::vector<NumberedFile> listNumberedFiles(const std::string& dir,
+                                            const std::string& prefix,
+                                            const std::string& suffix,
+                                            std::uint64_t maxNumber) {
+  std::vector<NumberedFile> files;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    std::string name = entry.path().filename().string();
+    if (name.size() <= prefix.size() + suffix.size() ||
+        name.compare(0, prefix.size(), prefix) != 0 ||
+        name.compare(name.size() - suffix.size(), suffix.size(), suffix) !=
+            0) {
+      continue;
+    }
+    std::uint64_t number = 0;
+    if (parseDecimal(name, prefix.size(), name.size() - suffix.size(),
+                     maxNumber, &number)) {
+      files.push_back({number, std::move(name)});
+    }
+  }
+  std::sort(files.begin(), files.end(), [](const auto& a, const auto& b) {
+    return a.number != b.number ? a.number < b.number : a.name < b.name;
+  });
+  return files;
 }
 
 void syncParentDir(const std::string& path) {

@@ -354,18 +354,9 @@ Status writeRunRecordFile(const std::string& path, const RunRecord& rec,
 }
 
 StatusOr<RunRecord> readRunRecordFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::ioError("cannot open run record " + path);
-  }
-  std::string text;
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) text.append(buf, n);
-  const bool readErr = std::ferror(f) != 0;
-  std::fclose(f);
-  if (readErr) return Status::ioError("read failed for run record " + path);
-  StatusOr<RunRecord> rec = parseRunRecord(text);
+  const StatusOr<std::string> text = io::readFile(path);
+  if (!text.ok()) return text.status();
+  StatusOr<RunRecord> rec = parseRunRecord(*text);
   if (!rec.ok()) {
     return Status(rec.status().code(), path + ": " + rec.status().message());
   }

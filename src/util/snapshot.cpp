@@ -1,16 +1,10 @@
 #include "util/snapshot.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <array>
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 
 #include "util/fault_injector.h"
 #include "util/io.h"
-#include "util/log.h"
 
 namespace ep {
 
@@ -18,10 +12,6 @@ namespace {
 
 constexpr char kMagic[8] = {'E', 'P', 'S', 'N', 'A', 'P', 'S', 'H'};
 constexpr std::uint32_t kVersion = 1;
-
-Status ioError(const std::string& what, const std::string& path) {
-  return Status::ioError(what + " " + path + ": " + std::strerror(errno));
-}
 
 Status badSnapshot(const std::string& path, const std::string& why) {
   return Status::invalidInput("snapshot " + path + ": " + why);
@@ -174,23 +164,15 @@ Status writeSnapshotFile(const std::string& path, const SnapshotData& snap,
 }
 
 StatusOr<SnapshotData> readSnapshotFile(const std::string& path) {
-  std::FILE* in = std::fopen(path.c_str(), "rb");
-  if (in == nullptr) return ioError("cannot open", path);
-  std::vector<std::uint8_t> file;
-  std::uint8_t buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, in)) > 0) {
-    file.insert(file.end(), buf, buf + n);
-  }
-  const bool readErr = std::ferror(in) != 0;
-  std::fclose(in);
-  if (readErr) return ioError("cannot read", path);
-
-  if (file.size() < sizeof kMagic ||
-      std::memcmp(file.data(), kMagic, sizeof kMagic) != 0) {
+  const StatusOr<std::string> file = io::readFile(path);
+  if (!file.ok()) return file.status();
+  if (file->size() < sizeof kMagic ||
+      std::memcmp(file->data(), kMagic, sizeof kMagic) != 0) {
     return badSnapshot(path, "bad magic (not a snapshot file)");
   }
-  ByteReader r(std::span<const std::uint8_t>(file).subspan(sizeof kMagic));
+  ByteReader r(std::span(reinterpret_cast<const std::uint8_t*>(file->data()),
+                         file->size())
+                   .subspan(sizeof kMagic));
   const std::uint32_t version = r.u32();
   if (r.ok() && version != kVersion) {
     return badSnapshot(path,

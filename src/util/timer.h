@@ -1,10 +1,8 @@
-// Wall-clock timing and a named accumulator used for the paper's runtime
-// breakdown experiments (Fig. 7 reports per-stage percentages).
+// Wall-clock stopwatch: stage seconds in the flow, the Fig. 7 density /
+// wirelength split inside GP (GpResult), and the benches' timings.
 #pragma once
 
 #include <chrono>
-#include <map>
-#include <string>
 
 namespace ep {
 
@@ -20,45 +18,6 @@ class Timer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates labeled durations; the flow reports stage shares from it.
-class TimeBreakdown {
- public:
-  void add(const std::string& label, double seconds) {
-    seconds_[label] += seconds;
-  }
-  [[nodiscard]] double get(const std::string& label) const {
-    const auto it = seconds_.find(label);
-    return it == seconds_.end() ? 0.0 : it->second;
-  }
-  [[nodiscard]] double total() const {
-    double t = 0.0;
-    for (const auto& [_, s] : seconds_) t += s;
-    return t;
-  }
-  [[nodiscard]] const std::map<std::string, double>& entries() const {
-    return seconds_;
-  }
-  void clear() { seconds_.clear(); }
-
- private:
-  std::map<std::string, double> seconds_;
-};
-
-/// RAII helper: adds the elapsed time to a breakdown on destruction.
-class ScopedTimer {
- public:
-  ScopedTimer(TimeBreakdown& sink, std::string label)
-      : sink_(sink), label_(std::move(label)) {}
-  ~ScopedTimer() { sink_.add(label_, timer_.seconds()); }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  TimeBreakdown& sink_;
-  std::string label_;
-  Timer timer_;
 };
 
 }  // namespace ep

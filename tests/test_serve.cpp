@@ -551,6 +551,24 @@ TEST_F(JobStoreTest, CorruptJournalEntryDroppedNotFatal) {
   EXPECT_EQ(store.maxJobId(), 2u);
 }
 
+TEST_F(JobStoreTest, OverflowingJobIdIsIgnored) {
+  JobStore store(dir_);
+  ASSERT_TRUE(store.init().ok());
+  JobSpec spec;
+  spec.hasGen = true;
+  ASSERT_TRUE(store.writePending(1, spec).ok());
+  // 2^64 + 1 (20 digits) does not fit a job id. Read with wrap-around it
+  // would alias job 1 and recover it twice.
+  fs::copy_file(dir_ + "/jobs/job_1.json",
+                dir_ + "/jobs/job_18446744073709551617.json");
+  int corrupt = -1;
+  const auto pending = store.recoverPending(&corrupt);
+  EXPECT_EQ(corrupt, 0);
+  ASSERT_EQ(pending.size(), 1u);
+  EXPECT_EQ(pending[0].id, 1u);
+  EXPECT_EQ(store.maxJobId(), 1u);
+}
+
 TEST_F(JobStoreTest, RemovePendingIsIdempotent) {
   JobStore store(dir_);
   ASSERT_TRUE(store.init().ok());

@@ -1,8 +1,9 @@
 // FlowSupervisor: default == plain policy bit-exactness, crash-safe
 // checkpoint/resume (a killed run continues the exact iteration
 // trajectory), corrupt-snapshot fallback, the per-stage retry / fallback
-// paths under injected legalization and detail-placement faults, and
-// leftover mLG macro overlap reported on the stage, not the run.
+// paths under injected legalization and detail-placement faults,
+// leftover mLG macro overlap reported on the stage, not the run, and a
+// foreign snapshot file whose number overflows staying out of the ring.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -349,6 +350,28 @@ TEST_F(SupervisorTest, MacroOverlapAfterMlgIsAStageNoteNotARunFailure) {
           << mlg->note;
     }
   }
+}
+
+TEST_F(SupervisorTest, OverflowingSnapshotNameIsNotPartOfTheRing) {
+  // Not written by any run: its number does not fit the sequence type.
+  // Read with wrap-around it would be snapshot 1, numbering would restart
+  // at 2, and the ring would prune (delete) a file it never wrote.
+  const fs::path foreign = dir_ / "snap_4294967297.epsnap";
+  std::ofstream(foreign) << "foreign";
+  SupervisorConfig supCfg;
+  supCfg.snapshotDir = snapDir();
+  supCfg.keepSnapshots = 2;
+  std::vector<int> seqs;
+  supCfg.onProgress = [&seqs](const SupervisorEvent& ev) {
+    if (ev.kind == SupervisorEvent::Kind::kSnapshot) {
+      seqs.push_back(ev.snapshotSeq);
+    }
+  };
+  PlacementDB db = stdInstance();
+  ASSERT_TRUE(runSupervisedFlow(db, traceConfig(nullptr), supCfg).ok());
+  ASSERT_FALSE(seqs.empty());
+  EXPECT_EQ(seqs.front(), 0);
+  EXPECT_TRUE(fs::exists(foreign));
 }
 
 }  // namespace

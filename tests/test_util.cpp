@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #include "util/csv.h"
 #include "util/geometry.h"
+#include "util/io.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "util/timer.h"
@@ -155,17 +158,6 @@ TEST(Stats, Geomean) {
   EXPECT_DOUBLE_EQ(geomean(bad), 0.0);
 }
 
-TEST(Timer, BreakdownAccumulates) {
-  TimeBreakdown bd;
-  bd.add("a", 1.0);
-  bd.add("a", 2.0);
-  bd.add("b", 0.5);
-  EXPECT_DOUBLE_EQ(bd.get("a"), 3.0);
-  EXPECT_DOUBLE_EQ(bd.get("b"), 0.5);
-  EXPECT_DOUBLE_EQ(bd.get("missing"), 0.0);
-  EXPECT_DOUBLE_EQ(bd.total(), 3.5);
-}
-
 TEST(Timer, MeasuresSomething) {
   Timer t;
   volatile double x = 0.0;
@@ -186,6 +178,47 @@ TEST(Csv, WritesRows) {
   EXPECT_EQ(line, "a,b");
   std::getline(in, line);
   EXPECT_EQ(line, "1,2.5");
+}
+
+TEST(Io, ReadFileReturnsBytesOrTypedIoError) {
+  const std::string path = ::testing::TempDir() + "/ep_io_read.bin";
+  const std::string bytes("a\0b\xff\n", 5);
+  ASSERT_TRUE(io::writeFileDurably(path, bytes).ok());
+  const StatusOr<std::string> back = io::readFile(path);
+  ASSERT_TRUE(back.ok()) << back.status().toString();
+  EXPECT_EQ(*back, bytes);
+  std::remove(path.c_str());
+  const StatusOr<std::string> missing = io::readFile(path);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kIo);
+}
+
+TEST(Io, ListNumberedFilesSkipsNamesWhoseNumberDoesNotFit) {
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(::testing::TempDir()) / "ep_io_numbered";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  for (const char* name :
+       {"f_10.x", "f_9.x", "f_0018446744073709551615.x",  // UINT64_MAX
+        "f_18446744073709551616.x",                       // UINT64_MAX + 1
+        "f_255.x", "f_256.x", "f_.x", "f_-1.x", "f_1.y", "g_1.x"}) {
+    std::ofstream(dir / name) << "x";
+  }
+  const auto all = io::listNumberedFiles(
+      dir.string(), "f_", ".x", std::numeric_limits<std::uint64_t>::max());
+  std::vector<std::string> names;
+  for (const auto& f : all) names.push_back(f.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"f_9.x", "f_10.x", "f_255.x",
+                                             "f_256.x",
+                                             "f_0018446744073709551615.x"}));
+  EXPECT_EQ(all.back().number, std::numeric_limits<std::uint64_t>::max());
+
+  const auto small = io::listNumberedFiles(dir.string(), "f_", ".x", 255);
+  ASSERT_EQ(small.size(), 3u);
+  EXPECT_EQ(small.back().number, 255u);
+  EXPECT_TRUE(
+      io::listNumberedFiles((dir / "missing").string(), "f_", ".x", 9).empty());
+  fs::remove_all(dir);
 }
 
 }  // namespace
