@@ -79,10 +79,13 @@ void* operator new(std::size_t sz) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t sz) { return ::operator new(sz); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+// The one deallocation hook; every other form forwards here. Kept out of
+// line so GCC does not inline free() into a new-expression's delete site
+// and report it as a mismatched new/delete pair.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace {
 

@@ -1,37 +1,23 @@
-// Microbenchmarks for the spectral substrate: complex FFT, the DCT family,
-// and the full Poisson solve (4 2-D transforms) at the grid sizes mGP uses.
+// Microbenchmarks for the spectral substrate: SpectralPlan's DCT-II and sine
+// synthesis, and the full Poisson solve at the grid sizes mGP uses.
 // Validates the O(n log n) density-cost claim of Sec. IV empirically.
 #include <benchmark/benchmark.h>
 
-#include "fft/dct.h"
-#include "fft/fft.h"
+#include "fft/plan.h"
 #include "fft/poisson.h"
 #include "util/rng.h"
 
 namespace {
 
-void BM_ComplexFft(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  ep::Fft fft(n);
-  ep::Rng rng(1);
-  std::vector<ep::Complex> data(n);
-  for (auto& c : data) c = {rng.uniform(), rng.uniform()};
-  for (auto _ : state) {
-    fft.forward(data);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ComplexFft)->RangeMultiplier(2)->Range(64, 2048)->Complexity();
-
 void BM_Dct2(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  ep::Dct dct(n);
+  const ep::SpectralPlan plan(n);
+  ep::SpectralScratch scratch;
   ep::Rng rng(2);
   std::vector<double> data(n);
   for (auto& x : data) x = rng.uniform();
   for (auto _ : state) {
-    dct.dct2(data);
+    plan.dct2(data, scratch);
     benchmark::DoNotOptimize(data.data());
   }
 }
@@ -39,12 +25,13 @@ BENCHMARK(BM_Dct2)->RangeMultiplier(2)->Range(64, 2048);
 
 void BM_SineSynthesis(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  ep::Dct dct(n);
+  const ep::SpectralPlan plan(n);
+  ep::SpectralScratch scratch;
   ep::Rng rng(3);
   std::vector<double> data(n);
   for (auto& x : data) x = rng.uniform();
   for (auto _ : state) {
-    dct.sineSynthesis(data);
+    plan.sineSynthesis(data, scratch);
     benchmark::DoNotOptimize(data.data());
   }
 }

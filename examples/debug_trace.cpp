@@ -13,7 +13,7 @@
 #include "qp/initial_place.h"
 #include "util/log.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char**) {
   ep::GenSpec spec;
   spec.name = "trace";
   spec.numCells = 1000;

@@ -891,6 +891,23 @@ StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
   }
 }
 
+namespace {
+
+// The StageMetrics columns shared by the "mGP@L<k>" and the flat rows.
+StageRecord stageRecord(std::string stage, const StageMetrics& m) {
+  StageRecord sr;
+  sr.stage = std::move(stage);
+  sr.ran = m.ran;
+  sr.wallMs = m.seconds * 1000.0;
+  sr.iterations = m.iterations;
+  sr.hpwl = m.hpwl;
+  sr.hpwlBits = doubleBits(m.hpwl);
+  sr.overflow = m.overflow;
+  return sr;
+}
+
+}  // namespace
+
 RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
                          const SupervisorReport* report, RuntimeContext* ctx,
                          bool supervised) {
@@ -906,15 +923,8 @@ RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
   // stage rows. Flat runs emit none, so existing records and regression
   // baselines are byte-for-byte unaffected.
   for (const LevelMetrics& lm : res.mgpLevels) {
-    StageRecord sr;
-    sr.stage = "mGP@L" + std::to_string(lm.level);
-    sr.ran = lm.metrics.ran;
-    sr.wallMs = lm.metrics.seconds * 1000.0;
-    sr.iterations = lm.metrics.iterations;
-    sr.hpwl = lm.metrics.hpwl;
-    sr.hpwlBits = doubleBits(lm.metrics.hpwl);
-    sr.overflow = lm.metrics.overflow;
-    rec.stages.push_back(std::move(sr));
+    rec.stages.push_back(
+        stageRecord("mGP@L" + std::to_string(lm.level), lm.metrics));
   }
 
   const struct {
@@ -929,14 +939,7 @@ RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
       {FlowStage::kCdp, res.cdp, 0},
   };
   for (const auto& row : rows) {
-    StageRecord sr;
-    sr.stage = flowStageName(row.stage);
-    sr.ran = row.m.ran;
-    sr.wallMs = row.m.seconds * 1000.0;
-    sr.iterations = row.m.iterations;
-    sr.hpwl = row.m.hpwl;
-    sr.hpwlBits = doubleBits(row.m.hpwl);
-    sr.overflow = row.m.overflow;
+    StageRecord sr = stageRecord(flowStageName(row.stage), row.m);
     sr.recoveries = row.recoveries;
     if (report != nullptr) {
       for (const StageReport& rep : report->stages) {

@@ -163,7 +163,7 @@ void SpectralPlan::dct2(std::span<double> x, SpectralScratch& s) const {
   const std::size_t n = n_;
   const std::size_t m = m_;
   if (n < 2) {
-    // Size-1 DCT is the identity; keep the fault site live like Fft does.
+    // Size-1 DCT is the identity; keep the fault site live anyway.
     if (faults_ != nullptr && faults_->active() && !x.empty()) {
       if (const FaultSpec* f = faults_->fire("fft.forward")) {
         x[0] = f->kind == FaultKind::kSpike
@@ -443,7 +443,7 @@ void spectral2d(std::span<double> grid, std::size_t nx, std::size_t ny,
   // Rows (x direction, contiguous). Each row is an independent 1-D
   // transform; batches of rows go to distinct threads, and per-row
   // arithmetic never depends on the batch — bit-identical at any thread
-  // count (same contract as dct.h transform2d).
+  // count.
   auto rows = [&](std::size_t part, std::size_t b, std::size_t e) {
     auto& pt = ws->perThread[part];
     for (std::size_t iy = b; iy < e; ++iy) {

@@ -1,11 +1,18 @@
 // SpectralPlan — the planned, real-input transform pipeline behind the
-// spectral Poisson solver (the hot half of `density_update`).
+// spectral Poisson solver (the hot half of `density_update`). It is the
+// engine's only implementation of the four real trigonometric transforms:
 //
-// The reference transforms in dct.h run every real row/column through a
-// full-length *complex* radix-2 FFT: 4x the necessary arithmetic for real
-// data, with std::complex butterflies (NaN-fixup branches, strided twiddle
-// loads) and a per-butterfly invert branch. This plan precomputes, once per
-// grid size,
+//   dct2(x)_k            = sum_n x_n cos(pi (2n+1) k / (2N))         (analysis)
+//   idct2                = exact inverse of dct2
+//   cosineSynthesis(c)_n = sum_k c_k cos(pi k (2n+1) / (2N))
+//                          (all terms full weight, including k = 0)
+//   sineSynthesis(s)_n   = sum_k s_k sin(pi (k+1) (2n+1) / (2N))
+//                          (s_k is the coefficient of frequency k+1)
+//
+// The synthesis pair evaluates a Neumann cosine series and its x-derivative
+// (a sine series) at bin centers — exactly what Eq. (6) of the paper needs.
+// Sizes are powers of two: the density grid is chosen as a power of two
+// precisely so radix-2 suffices. The plan precomputes, once per grid size,
 //
 //   * stage-contiguous split re/im twiddle tables (forward and inverse),
 //   * the bit-reverse permutations for the half-length and full-length
@@ -40,11 +47,11 @@
 // allocate nothing. With a null arena the plan owns its tables (tests,
 // micro-benches).
 //
-// Numerical contract: results agree with the dct.h reference to ~1 ulp
-// (scaled); they are NOT bit-identical to it — the golden regeneration for
-// that one-time switch is recorded in EXPERIMENTS.md. Determinism contract:
-// a transform's arithmetic depends only on its input, never on thread
-// count or partitioning (tests/test_kernel_properties.cpp pins both).
+// Numerical contract: results agree with the O(n^2) direct sums above,
+// accumulated in long double, to 16 eps log2(n) of the output magnitude.
+// Determinism contract: a transform's arithmetic depends only on its input,
+// never on thread count or partitioning. tests/test_kernel_properties.cpp
+// pins both.
 #pragma once
 
 #include <cstdint>
@@ -52,11 +59,18 @@
 #include <string>
 #include <vector>
 
-#include "fft/dct.h"  // TrigOp + the reference Dct the parity tests pin against
+#include "util/parallel.h"
 
 namespace ep {
 
+class FaultInjector;
 class ScratchArena;
+
+/// True when v is a power of two (and nonzero).
+constexpr bool isPowerOfTwo(std::size_t v) { return v != 0 && (v & (v - 1)) == 0; }
+
+/// The four transforms a SpectralPlan evaluates (see the sums above).
+enum class TrigOp { kDct2, kIdct2, kCosSynth, kSinSynth };
 
 /// Per-call scratch for SpectralPlan transforms. A plan is shared read-only
 /// across threads; each thread supplies its own scratch so independent
@@ -82,15 +96,14 @@ class SpectralPlan {
  public:
   /// `n` must be a power of two >= 1. Tables are leased from `arena` under
   /// "fft.<n>." keys when non-null, otherwise owned. `faults` (optional,
-  /// borrowed) wires the "fft.forward" site into the dct2 analysis path,
-  /// mirroring the reference Fft plan.
+  /// borrowed) wires the "fft.forward" site into the dct2 analysis path.
   explicit SpectralPlan(std::size_t n, ScratchArena* arena = nullptr,
                         FaultInjector* faults = nullptr);
 
   [[nodiscard]] std::size_t size() const { return n_; }
 
-  /// Transforms matching the dct.h semantics (see that header for the
-  /// exact sums). All are in-place on `x` (size n) and re-entrant.
+  /// The transforms defined at the top of this header. All are in-place on
+  /// `x` (size n) and re-entrant.
   void dct2(std::span<double> x, SpectralScratch& s) const;
   void idct2(std::span<double> x, SpectralScratch& s) const;
   void cosineSynthesis(std::span<double> c, SpectralScratch& s) const;
@@ -142,10 +155,13 @@ class SpectralPlan {
   std::span<const double> uRe_, uIm_;  // u_k = p_k t_k = e^{-5 i pi k / (2N)}
 };
 
-/// 2-D separable transform on a row-major nx*ny grid through SpectralPlan
-/// (the planned counterpart of dct.h transform2d, same partitioning and
-/// thread-count-determinism contract). `planX` must have size nx, `planY`
-/// size ny.
+/// 2-D separable transform on a row-major nx*ny grid (index = iy*nx + ix).
+/// Rows (and then columns) are independent, so with a pool they are
+/// dispatched as fixed contiguous batches — each row/column is transformed
+/// by exactly one thread with the same arithmetic as the serial loop, hence
+/// the result is bit-identical for any thread count. `pool == nullptr` runs
+/// serially; `ws` may be null (scratch is then allocated per call). `planX`
+/// must have size nx, `planY` size ny.
 struct Spectral2dWorkspace {
   struct PerThread {
     SpectralScratch s;

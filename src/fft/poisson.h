@@ -15,7 +15,7 @@
 // charge distribution inside R. The transforms run through SpectralPlan
 // (half-length real FFTs; the two field components share one complex
 // inverse per row/column pair — see fft/plan.h), so a solve costs the
-// equivalent of ~two complex 2-D FFTs instead of the reference's four.
+// equivalent of ~two complex 2-D FFTs instead of four.
 // The DCT orthogonality normalization and the 1/(w_u^2+w_v^2) kernel are
 // folded into one precomputed per-bin multiply.
 #pragma once

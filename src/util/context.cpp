@@ -2,6 +2,16 @@
 
 namespace ep {
 
+namespace {
+
+RuntimeOptions withThreads(int threads) {
+  RuntimeOptions opt;
+  opt.threads = threads;
+  return opt;
+}
+
+}  // namespace
+
 RuntimeContext::RuntimeContext(RuntimeOptions opt)
     : opt_(std::move(opt)),
       pool_(opt_.threads),
@@ -14,7 +24,7 @@ RuntimeContext::RuntimeContext(RuntimeOptions opt)
 }
 
 RuntimeContext::RuntimeContext(int threads)
-    : RuntimeContext(RuntimeOptions{.threads = threads}) {}
+    : RuntimeContext(withThreads(threads)) {}
 
 RuntimeContext::RuntimeContext(DefaultTag, RuntimeOptions opt)
     : RuntimeContext(std::move(opt)) {

@@ -232,7 +232,9 @@ TEST(Flow, MixedSizeFlowRunsAllStages) {
   EXPECT_TRUE(res.legality.legal) << res.legality.firstIssue;
   // Macros frozen after mLG.
   for (const auto& o : db.objects) {
-    if (o.kind == ObjKind::kMacro) EXPECT_TRUE(o.fixed);
+    if (o.kind == ObjKind::kMacro) {
+      EXPECT_TRUE(o.fixed);
+    }
   }
 }
 

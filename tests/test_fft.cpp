@@ -4,8 +4,6 @@
 #include <numbers>
 #include <vector>
 
-#include "fft/dct.h"
-#include "fft/fft.h"
 #include "fft/poisson.h"
 #include "util/rng.h"
 
@@ -14,68 +12,6 @@ namespace {
 
 constexpr double kPi = std::numbers::pi;
 
-// Naive O(N^2) references.
-std::vector<Complex> naiveDft(const std::vector<Complex>& x) {
-  const std::size_t n = x.size();
-  std::vector<Complex> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    Complex s{0.0, 0.0};
-    for (std::size_t m = 0; m < n; ++m) {
-      const double ang = -2.0 * kPi * static_cast<double>(k * m) /
-                         static_cast<double>(n);
-      s += x[m] * Complex{std::cos(ang), std::sin(ang)};
-    }
-    out[k] = s;
-  }
-  return out;
-}
-
-std::vector<double> naiveDct2(const std::vector<double>& x) {
-  const std::size_t n = x.size();
-  std::vector<double> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    double s = 0.0;
-    for (std::size_t m = 0; m < n; ++m) {
-      s += x[m] * std::cos(kPi * (2.0 * m + 1.0) * k / (2.0 * n));
-    }
-    out[k] = s;
-  }
-  return out;
-}
-
-std::vector<double> naiveCosSynth(const std::vector<double>& c) {
-  const std::size_t n = c.size();
-  std::vector<double> out(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    double s = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      s += c[k] * std::cos(kPi * k * (2.0 * m + 1.0) / (2.0 * n));
-    }
-    out[m] = s;
-  }
-  return out;
-}
-
-std::vector<double> naiveSinSynth(const std::vector<double>& c) {
-  const std::size_t n = c.size();
-  std::vector<double> out(n);
-  for (std::size_t m = 0; m < n; ++m) {
-    double s = 0.0;
-    for (std::size_t k = 0; k < n; ++k) {
-      s += c[k] * std::sin(kPi * (k + 1.0) * (2.0 * m + 1.0) / (2.0 * n));
-    }
-    out[m] = s;
-  }
-  return out;
-}
-
-std::vector<Complex> randomComplex(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Complex> v(n);
-  for (auto& c : v) c = {rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)};
-  return v;
-}
-
 std::vector<double> randomReal(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);
   std::vector<double> v(n);
@@ -83,182 +19,10 @@ std::vector<double> randomReal(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-TEST(Fft, MatchesNaiveDft) {
-  for (std::size_t n : {1u, 2u, 4u, 8u, 32u, 128u}) {
-    auto x = randomComplex(n, 100 + n);
-    const auto ref = naiveDft(x);
-    Fft fft(n);
-    fft.forward(x);
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_NEAR(x[k].real(), ref[k].real(), 1e-9) << "n=" << n << " k=" << k;
-      EXPECT_NEAR(x[k].imag(), ref[k].imag(), 1e-9);
-    }
-  }
-}
-
-TEST(Fft, InverseRoundTrip) {
-  for (std::size_t n : {2u, 16u, 256u, 1024u}) {
-    auto x = randomComplex(n, n);
-    const auto orig = x;
-    Fft fft(n);
-    fft.forward(x);
-    fft.inverse(x);
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_NEAR(x[k].real(), orig[k].real(), 1e-10);
-      EXPECT_NEAR(x[k].imag(), orig[k].imag(), 1e-10);
-    }
-  }
-}
-
-TEST(Fft, ParsevalHolds) {
-  const std::size_t n = 512;
-  auto x = randomComplex(n, 9);
-  double timeEnergy = 0.0;
-  for (const auto& c : x) timeEnergy += std::norm(c);
-  Fft fft(n);
-  fft.forward(x);
-  double freqEnergy = 0.0;
-  for (const auto& c : x) freqEnergy += std::norm(c);
-  EXPECT_NEAR(freqEnergy, timeEnergy * static_cast<double>(n),
-              1e-6 * timeEnergy * n);
-}
-
-TEST(Fft, ImpulseGivesFlatSpectrum) {
-  const std::size_t n = 64;
-  std::vector<Complex> x(n, Complex{0.0, 0.0});
-  x[0] = {1.0, 0.0};
-  Fft fft(n);
-  fft.forward(x);
-  for (const auto& c : x) {
-    EXPECT_NEAR(c.real(), 1.0, 1e-12);
-    EXPECT_NEAR(c.imag(), 0.0, 1e-12);
-  }
-}
-
-TEST(Fft, NextPowerOfTwo) {
-  EXPECT_EQ(nextPowerOfTwo(1), 1u);
-  EXPECT_EQ(nextPowerOfTwo(2), 2u);
-  EXPECT_EQ(nextPowerOfTwo(3), 4u);
-  EXPECT_EQ(nextPowerOfTwo(1000), 1024u);
+TEST(SpectralPlan, IsPowerOfTwo) {
   EXPECT_TRUE(isPowerOfTwo(64));
   EXPECT_FALSE(isPowerOfTwo(48));
   EXPECT_FALSE(isPowerOfTwo(0));
-}
-
-class DctSizes : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(DctSizes, Dct2MatchesNaive) {
-  const std::size_t n = GetParam();
-  auto x = randomReal(n, 3 * n + 1);
-  const auto ref = naiveDct2(x);
-  Dct d(n);
-  d.dct2(x);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(x[k], ref[k], 1e-9 * static_cast<double>(n)) << "k=" << k;
-  }
-}
-
-TEST_P(DctSizes, IdctInvertsDct) {
-  const std::size_t n = GetParam();
-  auto x = randomReal(n, 7 * n + 5);
-  const auto orig = x;
-  Dct d(n);
-  d.dct2(x);
-  d.idct2(x);
-  for (std::size_t k = 0; k < n; ++k) EXPECT_NEAR(x[k], orig[k], 1e-9);
-}
-
-TEST_P(DctSizes, CosineSynthesisMatchesNaive) {
-  const std::size_t n = GetParam();
-  auto c = randomReal(n, 11 * n);
-  const auto ref = naiveCosSynth(c);
-  Dct d(n);
-  d.cosineSynthesis(c);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(c[k], ref[k], 1e-9 * static_cast<double>(n));
-  }
-}
-
-TEST_P(DctSizes, SineSynthesisMatchesNaive) {
-  const std::size_t n = GetParam();
-  auto c = randomReal(n, 13 * n);
-  const auto ref = naiveSinSynth(c);
-  Dct d(n);
-  d.sineSynthesis(c);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(c[k], ref[k], 1e-9 * static_cast<double>(n));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(PowerOfTwoSizes, DctSizes,
-                         ::testing::Values(2, 4, 8, 16, 64, 128));
-
-TEST(Dct, LinearityOfAllTransforms) {
-  const std::size_t n = 64;
-  Dct d(n);
-  auto a = randomReal(n, 21), b = randomReal(n, 22);
-  for (int op = 0; op < 4; ++op) {
-    std::vector<double> mix(n), ta = a, tb = b;
-    for (std::size_t i = 0; i < n; ++i) mix[i] = 3.0 * a[i] - 2.0 * b[i];
-    auto apply = [&](std::vector<double>& v) {
-      switch (op) {
-        case 0: d.dct2(v); break;
-        case 1: d.idct2(v); break;
-        case 2: d.cosineSynthesis(v); break;
-        case 3: d.sineSynthesis(v); break;
-      }
-    };
-    apply(ta);
-    apply(tb);
-    apply(mix);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(mix[i], 3.0 * ta[i] - 2.0 * tb[i], 1e-9) << "op " << op;
-    }
-  }
-}
-
-TEST(Dct, ConstantVectorConcentratesAtDc) {
-  const std::size_t n = 32;
-  Dct d(n);
-  std::vector<double> v(n, 2.5);
-  d.dct2(v);
-  EXPECT_NEAR(v[0], 2.5 * n, 1e-9);
-  for (std::size_t k = 1; k < n; ++k) EXPECT_NEAR(v[k], 0.0, 1e-9);
-}
-
-TEST(Dct, CosineSynthesisOfUnitCoefficient) {
-  const std::size_t n = 32;
-  Dct d(n);
-  std::vector<double> c(n, 0.0);
-  c[3] = 1.0;
-  d.cosineSynthesis(c);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(c[i], std::cos(kPi * 3.0 * (2.0 * i + 1.0) / (2.0 * n)),
-                1e-10);
-  }
-}
-
-TEST(Dct, SineSynthesisOfUnitCoefficient) {
-  const std::size_t n = 32;
-  Dct d(n);
-  std::vector<double> c(n, 0.0);
-  c[4] = 1.0;  // frequency 5
-  d.sineSynthesis(c);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(c[i], std::sin(kPi * 5.0 * (2.0 * i + 1.0) / (2.0 * n)),
-                1e-10);
-  }
-}
-
-TEST(Dct, Transform2dSeparability) {
-  // 2-D dct2 then full inverse must round-trip.
-  const std::size_t nx = 16, ny = 8;
-  auto g = randomReal(nx * ny, 77);
-  const auto orig = g;
-  Dct dx(nx), dy(ny);
-  transform2d(g, nx, ny, dx, dy, TrigOp::kDct2, TrigOp::kDct2);
-  transform2d(g, nx, ny, dx, dy, TrigOp::kIdct2, TrigOp::kIdct2);
-  for (std::size_t i = 0; i < g.size(); ++i) EXPECT_NEAR(g[i], orig[i], 1e-9);
 }
 
 // Poisson: manufacture rho from a single cosine mode and verify the analytic

@@ -1,14 +1,15 @@
 // Property tests for the numeric kernels the placer's hot paths rely on:
-// the radix-2 FFT and the trigonometric transforms against naive O(n^2)
-// reference sums, the WA wirelength gradient against central finite
-// differences, and the ThreadPool's partitioning/reduction/error contracts.
+// SpectralPlan's trigonometric transforms against naive O(n^2) direct sums
+// accumulated in long double (an oracle that shares no factorization,
+// twiddle table or FP schedule with the plan), the WA wirelength gradient
+// against central finite differences, and the ThreadPool's
+// partitioning/reduction/error contracts.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <complex>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -19,8 +20,6 @@
 #include <utility>
 #include <vector>
 
-#include "fft/dct.h"
-#include "fft/fft.h"
 #include "fft/plan.h"
 #include "gen/generator.h"
 #include "model/placement_view.h"
@@ -38,172 +37,6 @@ std::vector<double> randomVector(std::size_t n, std::uint64_t seed) {
   return v;
 }
 
-// ---------- FFT vs the naive DFT ----------
-
-std::vector<Complex> naiveDft(const std::vector<Complex>& x) {
-  const std::size_t n = x.size();
-  std::vector<Complex> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    Complex sum = 0.0;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double ang = -2.0 * std::numbers::pi * static_cast<double>(j) *
-                         static_cast<double>(k) / static_cast<double>(n);
-      sum += x[j] * Complex(std::cos(ang), std::sin(ang));
-    }
-    out[k] = sum;
-  }
-  return out;
-}
-
-TEST(FftProperties, MatchesNaiveDftOnRandomSizes) {
-  std::mt19937_64 rng(101);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  for (const std::size_t n : {2u, 8u, 16u, 64u, 128u, 256u}) {
-    std::vector<Complex> x(n);
-    for (auto& c : x) c = Complex(dist(rng), dist(rng));
-    std::vector<Complex> fast = x;
-    Fft fft(n);
-    fft.forward(fast);
-    const std::vector<Complex> ref = naiveDft(x);
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_NEAR(fast[k].real(), ref[k].real(),
-                  1e-9 * static_cast<double>(n))
-          << "n=" << n << " k=" << k;
-      EXPECT_NEAR(fast[k].imag(), ref[k].imag(),
-                  1e-9 * static_cast<double>(n))
-          << "n=" << n << " k=" << k;
-    }
-  }
-}
-
-TEST(FftProperties, RoundTripIsIdentity) {
-  std::mt19937_64 rng(102);
-  std::uniform_real_distribution<double> dist(-1.0, 1.0);
-  for (const std::size_t n : {4u, 32u, 512u}) {
-    std::vector<Complex> x(n);
-    for (auto& c : x) c = Complex(dist(rng), dist(rng));
-    std::vector<Complex> y = x;
-    Fft fft(n);
-    fft.forward(y);
-    fft.inverse(y);
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_NEAR(y[k].real(), x[k].real(), 1e-12 * static_cast<double>(n));
-      EXPECT_NEAR(y[k].imag(), x[k].imag(), 1e-12 * static_cast<double>(n));
-    }
-  }
-}
-
-TEST(FftProperties, ParsevalEnergyConservation) {
-  for (const std::size_t n : {16u, 64u, 256u}) {
-    std::mt19937_64 rng(103 + n);
-    std::uniform_real_distribution<double> dist(-1.0, 1.0);
-    std::vector<Complex> x(n);
-    for (auto& c : x) c = Complex(dist(rng), dist(rng));
-    double timeEnergy = 0.0;
-    for (const auto& c : x) timeEnergy += std::norm(c);
-    std::vector<Complex> X = x;
-    Fft fft(n);
-    fft.forward(X);
-    double freqEnergy = 0.0;
-    for (const auto& c : X) freqEnergy += std::norm(c);
-    freqEnergy /= static_cast<double>(n);
-    EXPECT_NEAR(freqEnergy, timeEnergy, 1e-9 * timeEnergy);
-  }
-}
-
-// ---------- trigonometric transforms vs naive sums ----------
-
-TEST(DctProperties, Dct2MatchesNaiveSum) {
-  for (const std::size_t n : {8u, 32u, 128u}) {
-    const std::vector<double> x = randomVector(n, 201 + n);
-    std::vector<double> fast = x;
-    Dct dct(n);
-    dct.dct2(fast);
-    for (std::size_t k = 0; k < n; ++k) {
-      double ref = 0.0;
-      for (std::size_t j = 0; j < n; ++j) {
-        ref += x[j] * std::cos(std::numbers::pi *
-                               (2.0 * static_cast<double>(j) + 1.0) *
-                               static_cast<double>(k) /
-                               (2.0 * static_cast<double>(n)));
-      }
-      EXPECT_NEAR(fast[k], ref, 1e-10 * static_cast<double>(n))
-          << "n=" << n << " k=" << k;
-    }
-  }
-}
-
-TEST(DctProperties, Idct2InvertsDct2) {
-  for (const std::size_t n : {8u, 64u, 256u}) {
-    const std::vector<double> x = randomVector(n, 301 + n);
-    std::vector<double> y = x;
-    Dct dct(n);
-    dct.dct2(y);
-    dct.idct2(y);
-    for (std::size_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(y[j], x[j], 1e-11 * static_cast<double>(n));
-    }
-  }
-}
-
-TEST(DctProperties, CosineSynthesisMatchesNaiveSum) {
-  for (const std::size_t n : {8u, 32u}) {
-    const std::vector<double> c = randomVector(n, 401 + n);
-    std::vector<double> fast = c;
-    Dct dct(n);
-    dct.cosineSynthesis(fast);
-    for (std::size_t j = 0; j < n; ++j) {
-      double ref = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        ref += c[k] * std::cos(std::numbers::pi * static_cast<double>(k) *
-                               (2.0 * static_cast<double>(j) + 1.0) /
-                               (2.0 * static_cast<double>(n)));
-      }
-      EXPECT_NEAR(fast[j], ref, 1e-10 * static_cast<double>(n));
-    }
-  }
-}
-
-TEST(DctProperties, SineSynthesisMatchesNaiveSum) {
-  for (const std::size_t n : {8u, 32u}) {
-    const std::vector<double> s = randomVector(n, 501 + n);
-    std::vector<double> fast = s;
-    Dct dct(n);
-    dct.sineSynthesis(fast);
-    for (std::size_t j = 0; j < n; ++j) {
-      double ref = 0.0;
-      for (std::size_t k = 0; k < n; ++k) {
-        ref += s[k] * std::sin(std::numbers::pi *
-                               (static_cast<double>(k) + 1.0) *
-                               (2.0 * static_cast<double>(j) + 1.0) /
-                               (2.0 * static_cast<double>(n)));
-      }
-      EXPECT_NEAR(fast[j], ref, 1e-10 * static_cast<double>(n));
-    }
-  }
-}
-
-TEST(DctProperties, Transform2dParallelBitIdenticalToSerial) {
-  const std::size_t nx = 32, ny = 16;
-  const std::vector<double> grid = randomVector(nx * ny, 601);
-  Dct dctX(nx), dctY(ny);
-  std::vector<double> serial = grid;
-  transform2d(serial, nx, ny, dctX, dctY, TrigOp::kDct2, TrigOp::kDct2);
-  ThreadPool pool(4);
-  for (const auto opPair :
-       {std::pair{TrigOp::kDct2, TrigOp::kDct2},
-        std::pair{TrigOp::kCosSynth, TrigOp::kSinSynth}}) {
-    std::vector<double> a = grid, b = grid;
-    transform2d(a, nx, ny, dctX, dctY, opPair.first, opPair.second);
-    transform2d(b, nx, ny, dctX, dctY, opPair.first, opPair.second, &pool);
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(std::bit_cast<std::uint64_t>(a[i]),
-                std::bit_cast<std::uint64_t>(b[i]))
-          << "bin " << i;
-    }
-  }
-}
-
 // ---------- SpectralPlan: the planned real-input pipeline ----------
 
 // The grid sizes the Poisson solver actually plans for.
@@ -215,39 +48,39 @@ double maxAbs(const std::vector<double>& v) {
   return m;
 }
 
-// Naive O(n^2) reference sums matching the dct.h transform definitions.
+// Naive O(n^2) direct sums of the transforms defined in fft/plan.h, with
+// the trigonometric weights and the accumulation in long double, rounded to
+// double once at the end.
 std::vector<double> naiveTrig(TrigOp op, const std::vector<double>& x) {
+  constexpr long double kPi = std::numbers::pi_v<long double>;
   const std::size_t n = x.size();
-  const double nD = static_cast<double>(n);
+  const long double nL = static_cast<long double>(n);
   std::vector<double> out(n, 0.0);
   for (std::size_t k = 0; k < n; ++k) {
-    double sum = 0.0;
+    const long double kL = static_cast<long double>(k);
+    long double sum = 0.0L;
     for (std::size_t j = 0; j < n; ++j) {
-      const double jD = static_cast<double>(j);
-      const double kD = static_cast<double>(k);
-      double w = 0.0;
+      const long double jL = static_cast<long double>(j);
+      const long double xj = x[j];
       switch (op) {
         case TrigOp::kDct2:
-          w = std::cos(std::numbers::pi * (2.0 * jD + 1.0) * kD / (2.0 * nD));
-          sum += x[j] * w;
+          sum += xj * std::cos(kPi * (2.0L * jL + 1.0L) * kL / (2.0L * nL));
           break;
         case TrigOp::kIdct2:
           // x here holds coefficients; j indexes the coefficient.
-          w = std::cos(std::numbers::pi * jD * (2.0 * kD + 1.0) / (2.0 * nD));
-          sum += (j == 0 ? 1.0 : 2.0) / nD * x[j] * w;
+          sum += (j == 0 ? 1.0L : 2.0L) / nL * xj *
+                 std::cos(kPi * jL * (2.0L * kL + 1.0L) / (2.0L * nL));
           break;
         case TrigOp::kCosSynth:
-          w = std::cos(std::numbers::pi * jD * (2.0 * kD + 1.0) / (2.0 * nD));
-          sum += x[j] * w;
+          sum += xj * std::cos(kPi * jL * (2.0L * kL + 1.0L) / (2.0L * nL));
           break;
         case TrigOp::kSinSynth:
-          w = std::sin(std::numbers::pi * (jD + 1.0) * (2.0 * kD + 1.0) /
-                       (2.0 * nD));
-          sum += x[j] * w;
+          sum += xj * std::sin(kPi * (jL + 1.0L) * (2.0L * kL + 1.0L) /
+                               (2.0L * nL));
           break;
       }
     }
-    out[k] = sum;
+    out[k] = static_cast<double>(sum);
   }
   return out;
 }
@@ -292,6 +125,23 @@ TEST(SpectralPlanProperties, MatchesNaiveRealDftSumsOnRandomAndAdversarial) {
           ASSERT_NEAR(fast[k], ref[k], tol)
               << "n=" << n << " op=" << static_cast<int>(op) << " k=" << k;
         }
+      }
+    }
+    // Linearity: T(3a - 2b) = 3 T(a) - 2 T(b) for every transform.
+    const std::vector<double>& a = inputs.back();
+    const std::vector<double> b = randomVector(n, 950 + n);
+    for (const TrigOp op : {TrigOp::kDct2, TrigOp::kIdct2, TrigOp::kCosSynth,
+                            TrigOp::kSinSynth}) {
+      std::vector<double> ta = a, tb = b, mix(n);
+      for (std::size_t j = 0; j < n; ++j) mix[j] = 3.0 * a[j] - 2.0 * b[j];
+      plan.apply(op, ta, s);
+      plan.apply(op, tb, s);
+      plan.apply(op, mix, s);
+      const double tol =
+          1e-13 * static_cast<double>(n) * std::max(1.0, maxAbs(mix));
+      for (std::size_t k = 0; k < n; ++k) {
+        ASSERT_NEAR(mix[k], 3.0 * ta[k] - 2.0 * tb[k], tol)
+            << "n=" << n << " op=" << static_cast<int>(op) << " k=" << k;
       }
     }
   }
@@ -342,30 +192,24 @@ TEST(SpectralPlanProperties, RoundTripAndParsevalAtEverySolverSize) {
   }
 }
 
-TEST(SpectralPlanProperties, MatchesReferenceDctWithinScaledUlps) {
-  // New-vs-old parity: the planned pipeline is a different FP schedule than
-  // the dct.h reference, so outputs are not bit-identical; they must agree
-  // to a few ulps of the output magnitude at every solver size.
+TEST(SpectralPlanProperties, MatchesDirectSumOracleWithinScaledUlps) {
+  // Independent oracle: the long-double direct sums of naiveTrig. The
+  // planned pipeline must agree with them to a few ulps of the output
+  // magnitude at every solver size.
   constexpr double kEps = std::numeric_limits<double>::epsilon();
   for (const std::size_t n : kSolverSizes) {
     SpectralPlan plan(n);
-    Dct ref(n);
     SpectralScratch s;
     const std::vector<double> x = randomVector(n, 3000 + n);
     for (const TrigOp op : {TrigOp::kDct2, TrigOp::kIdct2, TrigOp::kCosSynth,
                             TrigOp::kSinSynth}) {
-      std::vector<double> a = x, b = x;
+      const std::vector<double> ref = naiveTrig(op, x);
+      std::vector<double> a = x;
       plan.apply(op, a, s);
-      switch (op) {
-        case TrigOp::kDct2: ref.dct2(b); break;
-        case TrigOp::kIdct2: ref.idct2(b); break;
-        case TrigOp::kCosSynth: ref.cosineSynthesis(b); break;
-        case TrigOp::kSinSynth: ref.sineSynthesis(b); break;
-      }
-      const double tol = 16.0 * kEps * std::max(1.0, maxAbs(b)) *
+      const double tol = 16.0 * kEps * std::max(1.0, maxAbs(ref)) *
                          std::log2(static_cast<double>(n));
       for (std::size_t k = 0; k < n; ++k) {
-        ASSERT_NEAR(a[k], b[k], tol)
+        ASSERT_NEAR(a[k], ref[k], tol)
             << "n=" << n << " op=" << static_cast<int>(op) << " k=" << k;
       }
     }
@@ -440,6 +284,16 @@ TEST(SpectralPlanProperties, Spectral2dParallelBitIdenticalToSerial) {
                 std::bit_cast<std::uint64_t>(b[i]))
           << "bin " << i;
     }
+  }
+  // dct2 -> idct2 along both axes round-trips the grid.
+  std::vector<double> rt = grid;
+  Spectral2dWorkspace wsRt;
+  spectral2d(rt, nx, ny, planX, planY, TrigOp::kDct2, TrigOp::kDct2, &pool,
+             &wsRt);
+  spectral2d(rt, nx, ny, planX, planY, TrigOp::kIdct2, TrigOp::kIdct2, &pool,
+             &wsRt);
+  for (std::size_t i = 0; i < rt.size(); ++i) {
+    ASSERT_NEAR(rt[i], grid[i], 1e-12) << "bin " << i;
   }
   // Batched field synthesis: same contract.
   std::vector<double> exA = grid, exB = grid;

@@ -262,7 +262,7 @@ TEST_F(ServeDaemonTest, MalformedLinesGetTypedErrorsDaemonSurvives) {
   ServeClient client;
   ASSERT_TRUE(client.connect(sock_).ok());
 
-  for (const std::string bad :
+  for (const std::string& bad :
        {std::string("this is not json"), std::string("{\"op\":\"warp\"}"),
         std::string("{\"op\":\"submit\",\"job\":{}}"), std::string("{")}) {
     auto raw = client.callRaw(bad, 30.0);
