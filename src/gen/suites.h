@@ -24,7 +24,7 @@ std::vector<GenSpec> mmsSuite();
 /// Scale sweep for the multilevel V-cycle and the streaming front-end
 /// (docs/SCALING.md): standard-cell circuits "scale_1k" .. "scale_500k"
 /// spanning 1k-500k cells at ISPD-2005-like statistics. The 100k+ entries
-/// back the `scale` ctest lane and the cells_vs_seconds benchmark rows.
+/// back the `scale` ctest lane; scale_10k backs the repo benchmark.
 std::vector<GenSpec> scaleSuite();
 
 /// Convenience: find a spec by name in any suite (e.g. "mms_adaptec1s" for

@@ -2,7 +2,7 @@
 //
 // One client = one connection; requests on a connection are sequential
 // (the protocol pairs each request line with one response line). Used by
-// eplace_loadgen, the serve tests, and the serve_roundtrip bench row.
+// eplace_loadgen, the serve tests, and the repo benchmark's serve_mix.
 // callRaw() sends an arbitrary byte line — the protocol fuzzer uses it to
 // deliver malformed input that the typed helpers could never produce.
 #pragma once

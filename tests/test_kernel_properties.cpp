@@ -3,7 +3,8 @@
 // accumulated in long double (an oracle that shares no factorization,
 // twiddle table or FP schedule with the plan), the WA wirelength gradient
 // against central finite differences, and the ThreadPool's
-// partitioning/reduction/error contracts.
+// partitioning/reduction/error contracts, plus a sentinel that the build
+// keeps multiply and add separately rounded (no FMA contraction).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -309,6 +310,22 @@ TEST(SpectralPlanProperties, Spectral2dParallelBitIdenticalToSerial) {
               std::bit_cast<std::uint64_t>(eyB[i]))
         << "ey bin " << i;
   }
+}
+
+// ---------- FP contraction sentinel ----------
+
+// a*b = 1 - 2^-60 rounds to 1.0, so a*b + c is exactly 0 when the multiply
+// and the add round separately; a fused multiply-add keeps the product
+// exact and yields -2^-60. The volatile loads stop constant folding, so
+// this fails on an FMA target built without -ffp-contract=off — the same
+// cause that makes the goldens diverge under -march=native.
+TEST(FpSemantics, MultiplyAddIsNotContractedToFma) {
+  volatile double va = 1.0 + 0x1p-30;
+  volatile double vb = 1.0 - 0x1p-30;
+  volatile double vc = -1.0;
+  const double a = va, b = vb, c = vc;
+  EXPECT_EQ(a * b + c, 0.0)
+      << "a*b+c was fused into an FMA; build with -ffp-contract=off";
 }
 
 // ---------- WA wirelength gradient vs finite differences ----------
