@@ -32,8 +32,7 @@ int main() {
     const auto& f = gp.fillers();
     char path[64];
     std::snprintf(path, sizeof path, "fig3_iter%03d.ppm", iter);
-    plotLayout(db, path, {}, f.cx, f.cy,
-               std::vector<double>(f.size(), f.w),
+    plotLayout(db, path, f.cx, f.cy, std::vector<double>(f.size(), f.w),
                std::vector<double>(f.size(), f.h));
     std::printf("%6d %12.4g %12.4g %10.3f   -> %s\n", iter, hpwlNow, o, tau,
                 path);

@@ -34,7 +34,7 @@ int main() {
   GpConfig cfg;
   const int m = std::max(1, mgpRes.iterations / 10);
   cfg.initialLambda =
-      mgpRes.finalLambda * std::pow(cfg.lambdaMultMax, -static_cast<double>(m));
+      mgpRes.finalLambda * std::pow(kLambdaMultMax, -static_cast<double>(m));
   GlobalPlacer cgp(db, db.movable(), cfg);
   cgp.setFillers(fillers);
   cgp.runFillerOnly(20);
@@ -43,7 +43,7 @@ int main() {
   const double oBefore = gridOverlapArea(db, false, 256, 256);
   auto plotWithFillers = [&](const char* path) {
     const auto& f = cgp.fillers();
-    plotLayout(db, path, {}, f.cx, f.cy, std::vector<double>(f.size(), f.w),
+    plotLayout(db, path, f.cx, f.cy, std::vector<double>(f.size(), f.w),
                std::vector<double>(f.size(), f.h));
   };
   plotWithFillers("fig6_before.ppm");

@@ -165,7 +165,7 @@ int place(ep::RuntimeContext& ctx, ep::PlacementDB& db,
     std::printf("wrote %s/%s_placed.{aux,nodes,nets,pl,scl,wts}\n",
                 outDir.c_str(), db.name.c_str());
   }
-  if (!plotPath.empty() && ep::plotLayout(db, plotPath, {}, {}, {}, {}, {}, &ctx)) {
+  if (!plotPath.empty() && ep::plotLayout(db, plotPath, {}, {}, {}, {}, &ctx)) {
     std::printf("wrote %s\n", plotPath.c_str());
   }
   if (!res.status.ok()) return exitCodeFor(res.status.code());

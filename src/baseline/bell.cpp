@@ -18,6 +18,12 @@ namespace ep {
 
 namespace {
 
+constexpr double kPenaltyGrowth = 2.0;
+constexpr double kTargetOverflow = 0.10;
+/// LSE gamma = kGammaFactor * bin dimension.
+constexpr double kGammaFactor = 1.0;
+constexpr std::uint64_t kSeed = 17;
+
 /// Naylor bell kernel on normalized distance and its derivative w.r.t. d.
 double bell(double d, double r) {
   const double ad = std::abs(d);
@@ -51,8 +57,7 @@ struct BellEngine {
   double mu = 0.0;
   std::vector<double> gxW, gyW;
 
-  BellEngine(const PlacementDB& dbIn, std::size_t nx, std::size_t ny,
-             double gammaFactor)
+  BellEngine(const PlacementDB& dbIn, std::size_t nx, std::size_t ny)
       : db(dbIn),
         movable(dbIn.movable()),
         objW(dbIn.view().w()),
@@ -87,8 +92,8 @@ struct BellEngine {
       objToVar[static_cast<std::size_t>(movable[v])] =
           static_cast<std::int32_t>(v);
     }
-    gammaX = gammaFactor * grid.dx();
-    gammaY = gammaFactor * grid.dy();
+    gammaX = kGammaFactor * grid.dx();
+    gammaY = kGammaFactor * grid.dy();
     gxW.resize(movable.size());
     gyW.resize(movable.size());
   }
@@ -176,11 +181,10 @@ BellPlaceResult bellPlace(PlacementDB& db, const BellPlaceConfig& cfg,
   // Baseline entry point is a stage boundary: refresh the view's position
   // arrays so the fixed-object stamp below reads current coordinates.
   db.view().syncPositionsFromDb(db);
-  BellEngine eng(db, cfg.gridNx ? cfg.gridNx : m, cfg.gridNy ? cfg.gridNy : m,
-                 cfg.gammaFactor);
+  BellEngine eng(db, m, m);
 
   // Start: center with jitter (same convention as the other engines).
-  Rng rng(cfg.seed);
+  Rng rng(kSeed);
   const Point c = db.region.center();
   std::vector<double> v(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -245,8 +249,8 @@ BellPlaceResult bellPlace(PlacementDB& db, const BellPlaceConfig& cfg,
       writeBack(opt.solution());
       const auto rep = densityOverflow(db);
       res.finalOverflow = rep.overflow;
-      if (rep.overflow <= cfg.targetOverflow) break;
-      eng.mu *= cfg.penaltyGrowth;
+      if (rep.overflow <= kTargetOverflow) break;
+      eng.mu *= kPenaltyGrowth;
     }
     writeBack(opt.solution());
     res.hpwl = hpwl(db);
@@ -269,8 +273,8 @@ BellPlaceResult bellPlace(PlacementDB& db, const BellPlaceConfig& cfg,
     writeBack(opt.solution());
     const auto rep = densityOverflow(db);
     res.finalOverflow = rep.overflow;
-    if (rep.overflow <= cfg.targetOverflow) break;
-    eng.mu *= cfg.penaltyGrowth;
+    if (rep.overflow <= kTargetOverflow) break;
+    eng.mu *= kPenaltyGrowth;
   }
 
   writeBack(opt.solution());

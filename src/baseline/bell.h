@@ -7,8 +7,6 @@
 // direction.
 #pragma once
 
-#include <cstdint>
-
 #include "model/netlist.h"
 
 namespace ep {
@@ -18,17 +16,11 @@ class RuntimeContext;
 struct BellPlaceConfig {
   int maxOuterIterations = 12;
   int cgIterationsPerOuter = 60;
-  double penaltyGrowth = 2.0;
-  double targetOverflow = 0.10;
-  std::size_t gridNx = 0;  ///< 0 = auto
-  std::size_t gridNy = 0;
-  double gammaFactor = 1.0;  ///< LSE gamma = factor * bin dimension
   /// Swap the optimizer under the *same* cost function: false = CG with
   /// Armijo line search (the prior-art configuration), true = Nesterov with
   /// Lipschitz steplength. Isolates the paper's optimizer contribution from
   /// its density-model contribution (see bench_ablation_optimizer).
   bool useNesterov = false;
-  std::uint64_t seed = 17;
 };
 
 struct BellPlaceResult {

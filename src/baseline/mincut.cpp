@@ -14,6 +14,12 @@ namespace ep {
 
 namespace {
 
+/// Stop recursion at this many objects.
+constexpr std::size_t kLeafCells = 8;
+constexpr double kBalanceTolerance = 0.15;
+constexpr int kFmPasses = 6;
+constexpr std::uint64_t kSeed = 31;
+
 double freeCapacity(const PlacementDB& db, const Rect& r) {
   const PlacementView& pv = db.view();
   const auto fixedMask = pv.fixedMask();
@@ -32,11 +38,10 @@ double freeCapacity(const PlacementDB& db, const Rect& r) {
 
 }  // namespace
 
-MinCutResult minCutPlace(PlacementDB& db, const MinCutConfig& cfg,
-                         RuntimeContext* ctx) {
+MinCutResult minCutPlace(PlacementDB& db, RuntimeContext* ctx) {
   RuntimeContext& rc = resolveContext(ctx);
   MinCutResult res;
-  Rng rng(cfg.seed);
+  Rng rng(kSeed);
 
   // Stage boundary: refresh the view so freeCapacity() stamps current
   // fixed rects; topology spans below (CSRs, areas) are finalize()-stable.
@@ -65,7 +70,7 @@ MinCutResult minCutPlace(PlacementDB& db, const MinCutConfig& cfg,
     queue.pop_front();
     res.maxDepth = std::max(res.maxDepth, task.depth);
 
-    if (task.objs.size() <= cfg.leafCells || task.region.width() < 2.0 ||
+    if (task.objs.size() <= kLeafCells || task.region.width() < 2.0 ||
         task.region.height() < 2.0) {
       // Leaf: spread objects on a small grid inside the region.
       const auto cols = static_cast<std::size_t>(
@@ -161,9 +166,9 @@ MinCutResult minCutPlace(PlacementDB& db, const MinCutConfig& cfg,
     fm.targetFraction =
         freeCapacity(db, a) /
         std::max(1e-9, freeCapacity(db, a) + freeCapacity(db, b));
-    fm.tolerance = cfg.balanceTolerance;
+    fm.tolerance = kBalanceTolerance;
 
-    const FmResult part = fmPartition(fm, rng.next(), cfg.fmPasses);
+    const FmResult part = fmPartition(fm, rng.next(), kFmPasses);
     ++res.partitions;
 
     Task ta{a, {}, task.depth + 1}, tb{b, {}, task.depth + 1};

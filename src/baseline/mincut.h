@@ -6,20 +6,11 @@
 // legalization/detail finish on every placer for fair table rows.
 #pragma once
 
-#include <cstdint>
-
 #include "model/netlist.h"
 
 namespace ep {
 
 class RuntimeContext;
-
-struct MinCutConfig {
-  std::size_t leafCells = 8;     ///< stop recursion at this many objects
-  double balanceTolerance = 0.15;
-  int fmPasses = 6;
-  std::uint64_t seed = 31;
-};
 
 struct MinCutResult {
   int partitions = 0;  ///< FM invocations
@@ -29,7 +20,6 @@ struct MinCutResult {
 
 /// Places all movable objects of `db` (cells and macros alike). Overlap is
 /// expected at leaf granularity; legalize afterwards.
-MinCutResult minCutPlace(PlacementDB& db, const MinCutConfig& cfg = {},
-                         RuntimeContext* ctx = nullptr);
+MinCutResult minCutPlace(PlacementDB& db, RuntimeContext* ctx = nullptr);
 
 }  // namespace ep

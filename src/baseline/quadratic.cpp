@@ -17,6 +17,19 @@ namespace ep {
 
 namespace {
 
+/// Initial pseudo-spring weight.
+constexpr double kAnchorWeight0 = 0.01;
+constexpr double kAnchorGrowth = 1.2;
+/// Fraction of the inverse-CDF displacement applied per iteration
+/// (FastPlace-style damped cell shifting; 1.0 = jump to the target).
+constexpr double kSpreadDamping = 0.6;
+/// Spreading bands along y when moving x.
+constexpr std::size_t kBandsX = 16;
+constexpr std::size_t kBandsY = 16;
+constexpr std::size_t kBinsPerBand = 32;
+constexpr int kCgMaxIterations = 200;
+constexpr std::uint64_t kSeed = 5;
+
 /// Per-band inverse-CDF remap of one axis. `pos` is the coordinate being
 /// spread, `other` selects the band. Returns the spreading targets.
 std::vector<double> spreadAxis(const PlacementDB& db,
@@ -126,7 +139,7 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
   const std::span<const double> objArea = db.view().area();
 
   // Seed like mIP: center with jitter.
-  Rng rng(cfg.seed);
+  Rng rng(kSeed);
   const Point c = db.region.center();
   std::vector<double> x(static_cast<std::size_t>(n)),
       y(static_cast<std::size_t>(n));
@@ -138,7 +151,7 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
   }
 
   std::vector<double> tx, ty;  // anchors (empty in the first iteration)
-  double anchorW = cfg.anchorWeight0;
+  double anchorW = kAnchorWeight0;
 
   auto writeBack = [&] {
     for (std::int32_t v = 0; v < n; ++v) {
@@ -185,7 +198,7 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
         }
       }
       const Csr A = std::move(builder).build();
-      cgSolve(A, rhs, pos, cfg.cgMaxIterations, 1e-6);
+      cgSolve(A, rhs, pos, kCgMaxIterations, 1e-6);
     }
     writeBack();
 
@@ -193,13 +206,13 @@ QuadraticPlaceResult quadraticPlace(PlacementDB& db,
     res.finalOverflow = rep.overflow;
     if (rep.overflow <= cfg.targetOverflow) break;
 
-    tx = spreadAxis(db, movable, x, y, true, cfg.bandsX, cfg.binsPerBand);
-    ty = spreadAxis(db, movable, y, x, false, cfg.bandsY, cfg.binsPerBand);
+    tx = spreadAxis(db, movable, x, y, true, kBandsX, kBinsPerBand);
+    ty = spreadAxis(db, movable, y, x, false, kBandsY, kBinsPerBand);
     for (std::size_t k = 0; k < tx.size(); ++k) {
-      tx[k] = x[k] + cfg.spreadDamping * (tx[k] - x[k]);
-      ty[k] = y[k] + cfg.spreadDamping * (ty[k] - y[k]);
+      tx[k] = x[k] + kSpreadDamping * (tx[k] - x[k]);
+      ty[k] = y[k] + kSpreadDamping * (ty[k] - y[k]);
     }
-    anchorW *= cfg.anchorGrowth;
+    anchorW *= kAnchorGrowth;
   }
 
   writeBack();

@@ -8,8 +8,6 @@
 // Stops when the density overflow reaches the target or the iteration cap.
 #pragma once
 
-#include <cstdint>
-
 #include "model/netlist.h"
 
 namespace ep {
@@ -19,16 +17,6 @@ class RuntimeContext;
 struct QuadraticPlaceConfig {
   int maxIterations = 30;
   double targetOverflow = 0.10;
-  double anchorWeight0 = 0.01;  ///< initial pseudo-spring weight
-  double anchorGrowth = 1.2;
-  /// Fraction of the inverse-CDF displacement applied per iteration
-  /// (FastPlace-style damped cell shifting; 1.0 = jump to the target).
-  double spreadDamping = 0.6;
-  std::size_t bandsX = 16;      ///< spreading bands along y when moving x
-  std::size_t bandsY = 16;
-  std::size_t binsPerBand = 32;
-  int cgMaxIterations = 200;
-  std::uint64_t seed = 5;
 };
 
 struct QuadraticPlaceResult {

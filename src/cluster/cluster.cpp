@@ -11,6 +11,17 @@ namespace ep {
 
 namespace {
 
+/// Stop adding levels once a level shrinks the movable count by less
+/// than this factor (clusters/fine >= kStopRatio means matching has
+/// saturated and further levels buy nothing).
+constexpr double kStopRatio = 0.75;
+/// Nets above this degree are skipped when scoring (a huge net connects
+/// everything to everything and carries no locality signal).
+constexpr std::size_t kMaxScoreNetDegree = 16;
+/// Cluster area cap in multiples of the mean movable area at that level;
+/// keeps one cluster from swallowing a neighborhood.
+constexpr double kMaxClusterAreaFactor = 24.0;
+
 /// True for objects the matcher may merge: movable standard cells. Fixed
 /// objects, IO pads and movable macros pass through 1:1 (macros go to mLG,
 /// fixed charge must stay bit-identical per level).
@@ -34,8 +45,8 @@ void clusterDims(double area, double rowH, double* w, double* h) {
 /// One best-choice matching pass over the fine instance. Returns the
 /// coarsening level, or an empty optional-equivalent via matched count so
 /// the caller can stop when matching saturates.
-ClusterLevel buildOneLevel(const PlacementDB& fine, const ClusterConfig& cfg,
-                           int levelIndex, std::size_t* mergedOut) {
+ClusterLevel buildOneLevel(const PlacementDB& fine, int levelIndex,
+                           std::size_t* mergedOut) {
   const PlacementView& pv = fine.view();
   const auto objNetStart = pv.objNetStart();
   const auto objNetIds = pv.objNetIds();
@@ -47,7 +58,7 @@ ClusterLevel buildOneLevel(const PlacementDB& fine, const ClusterConfig& cfg,
   const double totalArea = fine.totalMovableArea();
   const std::size_t nMov = std::max<std::size_t>(1, fine.numMovable());
   const double areaCap =
-      cfg.maxClusterAreaFactor * (totalArea / static_cast<double>(nMov));
+      kMaxClusterAreaFactor * (totalArea / static_cast<double>(nMov));
 
   // --- best-choice matching (serial, index order => deterministic) --------
   std::vector<std::int32_t> mate(nObj, -1);
@@ -66,7 +77,7 @@ ClusterLevel buildOneLevel(const PlacementDB& fine, const ClusterConfig& cfg,
       const std::size_t pb = static_cast<std::size_t>(netPinStart[net]);
       const std::size_t pe = static_cast<std::size_t>(netPinStart[net + 1]);
       const std::size_t deg = pe - pb;
-      if (deg < 2 || deg > cfg.maxScoreNetDegree) continue;
+      if (deg < 2 || deg > kMaxScoreNetDegree) continue;
       const double s = netWeight[net] / static_cast<double>(deg - 1);
       for (std::size_t p = pb; p < pe; ++p) {
         const std::int32_t j = pinObj[p];
@@ -198,8 +209,7 @@ StatusOr<ClusterLadder> buildClusterLadder(const PlacementDB& db,
   for (std::size_t level = 0; level < cfg.maxLevels; ++level) {
     if (fine->numMovable() <= cfg.minMovable) break;
     std::size_t merged = 0;
-    ClusterLevel lvl =
-        buildOneLevel(*fine, cfg, static_cast<int>(level), &merged);
+    ClusterLevel lvl = buildOneLevel(*fine, static_cast<int>(level), &merged);
     if (merged == 0) break;
     const std::size_t fineMov = lvl.fineMovable;
     const std::size_t coarseMov = lvl.coarse.numMovable();
@@ -212,7 +222,7 @@ StatusOr<ClusterLadder> buildClusterLadder(const PlacementDB& db,
     ladder.levels.push_back(std::move(lvl));
     fine = &ladder.levels.back().coarse;
     if (static_cast<double>(coarseMov) >=
-        cfg.stopRatio * static_cast<double>(fineMov)) {
+        kStopRatio * static_cast<double>(fineMov)) {
       break;  // diminishing returns
     }
   }

@@ -37,22 +37,12 @@ namespace ep {
 class RuntimeContext;
 
 struct ClusterConfig {
-  /// Ladder depth cap (levels actually built also depend on the ratio and
-  /// floor below).
+  /// Ladder depth cap (levels actually built also depend on the stop ratio
+  /// in cluster.cpp and the floor below).
   std::size_t maxLevels = 6;
-  /// Stop adding levels once a level shrinks the movable count by less
-  /// than this factor (clusters/fine >= stopRatio means matching has
-  /// saturated and further levels buy nothing).
-  double stopRatio = 0.75;
   /// Never coarsen below this many movable objects — the coarsest level
   /// must stay large enough for the density model to be meaningful.
   std::size_t minMovable = 3000;
-  /// Nets above this degree are skipped when scoring (a huge net connects
-  /// everything to everything and carries no locality signal).
-  std::size_t maxScoreNetDegree = 16;
-  /// Cluster area cap in multiples of the mean movable area at that level;
-  /// keeps one cluster from swallowing a neighborhood.
-  double maxClusterAreaFactor = 24.0;
 };
 
 /// One coarsening step. `coarse` is a fully finalized PlacementDB built

@@ -26,8 +26,8 @@ StageMetrics flowStageMetrics(const PlacementDB& db, double seconds,
 
 void flowStageMip(PlacementDB& db, FlowState& st) {
   Timer t;
-  quadraticInitialPlace(db, st.cfg.ip, st.ctx);
-  st.res.mip = flowStageMetrics(db, t.seconds(), st.cfg.ip.outerIterations);
+  quadraticInitialPlace(db, st.ctx);
+  st.res.mip = flowStageMetrics(db, t.seconds(), kMipOuterIterations);
 }
 
 void flowStageMgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
@@ -71,7 +71,7 @@ void flowStageCgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   GpConfig gpc = st.cfg.gp;
   const int m = std::max(1, st.res.mgpResult.iterations / kCgpBufferDivisor);
   gpc.initialLambda = st.res.mgpResult.finalLambda *
-                      std::pow(gpc.lambdaMultMax, -static_cast<double>(m));
+                      std::pow(kLambdaMultMax, -static_cast<double>(m));
   GlobalPlacer cgp(db, db.movable(), gpc, st.ctx);
   cgp.setFillers(st.fillers);
   if (st.cfg.enableFillerOnly && ctl.resume == nullptr) {

@@ -33,7 +33,6 @@ namespace ep {
 class RuntimeContext;
 
 struct FlowConfig {
-  InitialPlaceConfig ip;
   GpConfig gp;  ///< used by mGP and (with rewound lambda) cGP
   MlgConfig mlg;
   DetailConfig detail;

@@ -17,6 +17,8 @@ namespace ep {
 
 namespace {
 
+/// Iterations every GP run takes before the overflow target may stop it.
+constexpr int kMinIterations = 20;
 /// Lower bound of the per-iteration lambda multiplier mu.
 constexpr double kLambdaMultMin = 0.95;
 /// HPWL delta, as a fraction of the stage-start HPWL, that maps to mu = 1.
@@ -226,6 +228,21 @@ struct GlobalPlacer::Engine {
     });
   }
 
+  /// The optimizer of both run() and runFillerOnly(): GpConfig's ablation
+  /// switches, and a bootstrap move of a tenth of a bin width.
+  NesterovOptimizer makeOptimizer() {
+    NesterovConfig ncfg;
+    ncfg.enableBacktracking = cfg.enableBacktracking;
+    ncfg.enableMomentum = cfg.enableMomentum;
+    ncfg.bootstrapMove = 0.1 * density.grid().dx();
+    return NesterovOptimizer(
+        2 * nVars,
+        [this](std::span<const double> v, std::span<double> g) {
+          return evalGrad(v, g);
+        },
+        ncfg, [this](std::span<double> v) { project(v); }, pool);
+  }
+
   /// Initial lambda: ratio of L1 gradient norms (wirelength over density)
   /// at the start point, per FFTPL/ePlace.
   double initialLambda(std::span<const double> v) {
@@ -329,16 +346,7 @@ void GlobalPlacer::runFillerOnly(int iterations) {
   eng.density.stampStaticCharges({cx, cy, cw, ch});
   eng.lambda = 1.0;  // density force only; wirelength plays no role
 
-  NesterovConfig ncfg = cfg_.nesterov;
-  ncfg.enableBacktracking = cfg_.enableBacktracking;
-  ncfg.enableMomentum = cfg_.enableMomentum;
-  ncfg.bootstrapMove = 0.1 * eng.density.grid().dx();
-  NesterovOptimizer opt(
-      2 * eng.nVars,
-      [&eng](std::span<const double> v, std::span<double> g) {
-        return eng.evalGrad(v, g);
-      },
-      ncfg, [&eng](std::span<double> v) { eng.project(v); }, &ctx_.pool());
+  NesterovOptimizer opt = eng.makeOptimizer();
   const auto v0 = eng.startVector(none);
   opt.initialize(v0);
   for (int k = 0; k < iterations && !ctx_.cancelled(); ++k) opt.step();
@@ -359,16 +367,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
   Engine eng(ctx_, db_, movables_, cfg_, fillers_);
   if (eng.nVars == 0) return result;
 
-  NesterovConfig ncfg = cfg_.nesterov;
-  ncfg.enableBacktracking = cfg_.enableBacktracking;
-  ncfg.enableMomentum = cfg_.enableMomentum;
-  ncfg.bootstrapMove = 0.1 * eng.density.grid().dx();
-  NesterovOptimizer opt(
-      2 * eng.nVars,
-      [&eng](std::span<const double> v, std::span<double> g) {
-        return eng.evalGrad(v, g);
-      },
-      ncfg, [&eng](std::span<double> v) { eng.project(v); }, &ctx_.pool());
+  NesterovOptimizer opt = eng.makeOptimizer();
 
   // The stage watchdog honors both the configured budget and the context's
   // session-wide wall-clock deadline, whichever expires first.
@@ -530,9 +529,9 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
     // degrades (RePlAce-style mu).
     const double dHpwl = curHpwl - prevHpwl;
     double mu = dHpwl < 0.0
-                    ? cfg_.lambdaMultMax
-                    : std::pow(cfg_.lambdaMultMax, 1.0 - dHpwl / refDelta);
-    mu = std::clamp(mu, kLambdaMultMin, cfg_.lambdaMultMax);
+                    ? kLambdaMultMax
+                    : std::pow(kLambdaMultMax, 1.0 - dHpwl / refDelta);
+    mu = std::clamp(mu, kLambdaMultMin, kLambdaMultMax);
     eng.lambda *= mu;
     prevHpwl = curHpwl;
 
@@ -563,7 +562,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
                         info.alpha, info.backtracks, eng.density.energy()});
     }
 
-    if (tau <= cfg_.targetOverflow && iter >= cfg_.minIterations) {
+    if (tau <= cfg_.targetOverflow && iter >= kMinIterations) {
       result.converged = true;
       ++iter;
       break;

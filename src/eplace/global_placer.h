@@ -5,7 +5,7 @@
 //   * eDensity electrostatic penalty with spectral gradients;
 //   * the approximated diagonal preconditioner |E_i| + lambda q_i (Eq. 12/13);
 //   * penalty factor lambda normalized from the first-iteration gradient
-//     ratio and multiplied per iteration by mu in [0.75, 1.1] driven by the
+//     ratio and multiplied per iteration by mu in [0.95, 1.1] driven by the
 //     HPWL delta (aggressive while wirelength is stable, relaxed when it
 //     degrades);
 //   * termination at overflow tau <= 10% (configurable) or the iteration cap.
@@ -31,21 +31,21 @@ namespace ep {
 
 class RuntimeContext;
 
+/// Upper bound of the per-iteration lambda multiplier mu. cGP also starts
+/// from lambda_mGP * kLambdaMultMax^-m (Sec. VI-B).
+inline constexpr double kLambdaMultMax = 1.1;
+
 struct GpConfig {
   double targetOverflow = 0.10;  ///< mGP stop criterion (Sec. III)
   int maxIterations = 3000;      ///< paper's cap (Sec. V-D)
-  int minIterations = 20;
   std::size_t gridNx = 0;  ///< 0 = auto (power of two tracking object count)
   std::size_t gridNy = 0;
   bool enablePreconditioner = true;  ///< Sec. V-D ablation switch
   bool enableBacktracking = true;    ///< Sec. V-C ablation switch
   bool enableMomentum = true;        ///< degrade to gradient descent
-  /// Upper bound of the per-iteration lambda multiplier mu.
-  double lambdaMultMax = 1.1;
   /// Override the initial lambda (cGP uses lambda_mGP * 1.1^-m, Sec. VI-B).
   std::optional<double> initialLambda;
   std::uint64_t fillerSeed = 7;
-  NesterovConfig nesterov;
   /// Numerical health monitoring, checkpoint/rollback recovery and the
   /// per-stage wall-clock watchdog (docs/ROBUSTNESS.md).
   HealthConfig health;

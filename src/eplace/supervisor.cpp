@@ -844,8 +844,6 @@ std::string SupervisorReport::summary() const {
     const char* outcome = "ok";
     if (r.resumed && r.attempts == 0) {
       outcome = "resumed";
-    } else if (r.skipped) {
-      outcome = "skipped";
     } else if (!r.status.ok()) {
       outcome = statusCodeName(r.status.code());
     } else if (r.fellBack) {

@@ -22,7 +22,7 @@
 //     outer iterations for mLG, jittered cell positions for legalization.
 //   * fallbacks — greedy Tetris-only legalization when the Abacus-style
 //     legalizer fails its gate or budget; detail placement is rolled back
-//     (cDP "skipped") when it regresses HPWL or breaks legality.
+//     (cDP "fallback") when it regresses HPWL or breaks legality.
 //   * inter-stage invariant gates — all movables finite and in-core after
 //     every stage; zero macro overlap after mLG (a stage note when it
 //     fails, not a run failure); full row/site/overlap
@@ -152,7 +152,6 @@ struct StageReport {
   FlowStage stage = FlowStage::kMip;
   int attempts = 0;
   bool fellBack = false;  ///< fallback path produced the accepted result
-  bool skipped = false;   ///< stage result discarded or stage not run
   bool resumed = false;   ///< satisfied from a snapshot, not executed
   double seconds = 0.0;
   Status status;  ///< final accepted outcome (OK even after retries)

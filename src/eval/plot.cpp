@@ -20,6 +20,9 @@ constexpr Rgb kBlue{60, 80, 220};
 constexpr Rgb kBlack{20, 20, 20};
 constexpr Rgb kGray{170, 170, 170};
 
+/// plotLayout image width in pixels; the height follows the aspect ratio.
+constexpr int kLayoutWidth = 512;
+
 class Canvas {
  public:
   Canvas(int w, int h, const Rect& world)
@@ -131,19 +134,16 @@ bool plotScalarMap(std::span<const double> map, std::size_t nx,
 }
 
 bool plotLayout(const PlacementDB& db, const std::string& path,
-                const PlotOptions& opts, std::span<const double> fillerCx,
+                std::span<const double> fillerCx,
                 std::span<const double> fillerCy,
                 std::span<const double> fillerW,
                 std::span<const double> fillerH, RuntimeContext* ctx) {
   const double aspect = db.region.height() / db.region.width();
-  const int w = opts.width;
-  const int h = std::max(16, static_cast<int>(w * aspect));
-  Canvas canvas(w, h, db.region);
+  const int h = std::max(16, static_cast<int>(kLayoutWidth * aspect));
+  Canvas canvas(kLayoutWidth, h, db.region);
 
-  if (opts.drawFixed) {
-    for (const auto& o : db.objects) {
-      if (o.fixed) canvas.fillRect(o.rect(), kGray);
-    }
+  for (const auto& o : db.objects) {
+    if (o.fixed) canvas.fillRect(o.rect(), kGray);
   }
   for (std::size_t i = 0; i < fillerCx.size(); ++i) {
     const Rect r{fillerCx[i] - fillerW[i] * 0.5, fillerCy[i] - fillerH[i] * 0.5,

@@ -13,17 +13,12 @@ namespace ep {
 
 class RuntimeContext;
 
-struct PlotOptions {
-  int width = 512;   ///< image width in pixels; height follows aspect ratio
-  bool drawFixed = true;
-};
-
-/// Renders the DB layout. `fillers` optionally adds filler rectangles
+/// Renders the DB layout, 512 pixels wide (the height follows the region's
+/// aspect ratio). `fillers` optionally adds filler rectangles
 /// (center/size quadruples are taken from the spans, all sized like the
 /// ChargeView the placer maintains). Returns false when the file cannot be
 /// written (also logged as a warning through `ctx`'s sink).
 bool plotLayout(const PlacementDB& db, const std::string& path,
-                const PlotOptions& opts = {},
                 std::span<const double> fillerCx = {},
                 std::span<const double> fillerCy = {},
                 std::span<const double> fillerW = {},

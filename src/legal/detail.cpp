@@ -14,6 +14,12 @@ namespace ep {
 
 namespace {
 
+/// Cells per reorder window.
+constexpr int kWindowSize = 3;
+/// Nearest same-width swap candidates per cell.
+constexpr int kSwapCandidates = 8;
+constexpr std::uint64_t kSeed = 99;
+
 /// Sum of weighted HPWL over a set of net ids (deduplicated by the caller).
 double netsHpwl(const PlacementDB& db, std::span<const std::int32_t> nets) {
   double w = 0.0;
@@ -46,7 +52,7 @@ DetailResult detailPlace(PlacementDB& db, const DetailConfig& cfg,
   RuntimeContext& rc = resolveContext(ctx);
   DetailResult res;
   res.hpwlBefore = hpwl(db);
-  Rng rng(cfg.seed);
+  Rng rng(kSeed);
 
   // Obstacle x-intervals per row band: window packing must never slide a
   // cell across a fixed object or macro sitting inside the row. Flags come
@@ -107,7 +113,7 @@ DetailResult detailPlace(PlacementDB& db, const DetailConfig& cfg,
     }
 
     // --- Window reordering within each row ---
-    const int win = std::max(2, cfg.windowSize);
+    const int win = kWindowSize;
     for (auto& [y, cells] : rows) {
       if (static_cast<int>(cells.size()) < win) continue;
       for (std::size_t s = 0; s + static_cast<std::size_t>(win) <= cells.size();
@@ -187,7 +193,7 @@ DetailResult detailPlace(PlacementDB& db, const DetailConfig& cfg,
       });
       for (std::size_t k = 0; k < group.size(); ++k) {
         const std::size_t lim = std::min(
-            group.size(), k + 1 + static_cast<std::size_t>(cfg.swapCandidates));
+            group.size(), k + 1 + static_cast<std::size_t>(kSwapCandidates));
         for (std::size_t j = k + 1; j < lim; ++j) {
           auto& a = db.objects[static_cast<std::size_t>(group[k])];
           auto& b = db.objects[static_cast<std::size_t>(group[j])];

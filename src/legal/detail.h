@@ -6,8 +6,6 @@
 // Modeled on the detail placer role NTUplace3 fills for the paper's flow.
 #pragma once
 
-#include <cstdint>
-
 #include "model/netlist.h"
 
 namespace ep {
@@ -16,9 +14,6 @@ class RuntimeContext;
 
 struct DetailConfig {
   int maxPasses = 3;
-  int windowSize = 3;       ///< cells per reorder window
-  int swapCandidates = 8;   ///< nearest same-width candidates per cell
-  std::uint64_t seed = 99;
 };
 
 struct DetailResult {

@@ -14,6 +14,17 @@ namespace ep {
 
 namespace {
 
+/// Per-outer-iteration escalation (Sec. VI-A).
+constexpr double kKappa = 1.5;
+/// SA temperature steps per outer iteration.
+constexpr int kInnerIterations = 40;
+/// Accepted relative cost increase at k=0 …
+constexpr double kDfMaxStart = 0.03;
+/// … and at k=kmax.
+constexpr double kDfMaxEnd = 1e-4;
+/// r_{j,0} = Rx/sqrt(m) * kRadiusFactor * kappa^j.
+constexpr double kRadiusFactor = 0.05;
+
 /// Integrate a stamped-area map over a rectangle, assuming the stamped area
 /// is uniformly spread within each bin (standard coverage approximation).
 double integrateMap(const BinGrid& grid, std::span<const double> map,
@@ -288,24 +299,23 @@ MlgResult legalizeMacros(PlacementDB& db, const MlgConfig& cfg,
   sa.muO = 0.1 * sa.wCur / std::max(sa.omCur, 1e-9);
 
   const double m = static_cast<double>(sa.macros.size());
-  const int movesPerStep =
-      cfg.movesPerStep > 0 ? cfg.movesPerStep
-                           : static_cast<int>(sa.macros.size());
+  // One attempt per macro per temperature step.
+  const int movesPerStep = static_cast<int>(sa.macros.size());
 
   const double kLn2 = std::log(2.0);
   int j = 0;
   for (; j < cfg.maxOuterIterations; ++j) {
     if (sa.omCur <= 1e-12) break;
-    const double scale = std::pow(cfg.kappa, j);
-    const double rx0 = db.region.width() / std::sqrt(m) * cfg.radiusFactor *
-                       scale;
-    const double ry0 = db.region.height() / std::sqrt(m) * cfg.radiusFactor *
-                       scale;
-    for (int k = 0; k < cfg.innerIterations; ++k) {
+    const double scale = std::pow(kKappa, j);
+    const double rx0 =
+        db.region.width() / std::sqrt(m) * kRadiusFactor * scale;
+    const double ry0 =
+        db.region.height() / std::sqrt(m) * kRadiusFactor * scale;
+    for (int k = 0; k < kInnerIterations; ++k) {
       const double frac = static_cast<double>(k) /
-                          static_cast<double>(std::max(1, cfg.innerIterations - 1));
+                          static_cast<double>(std::max(1, kInnerIterations - 1));
       const double dfMax =
-          (cfg.dfMaxStart + (cfg.dfMaxEnd - cfg.dfMaxStart) * frac) * scale;
+          (kDfMaxStart + (kDfMaxEnd - kDfMaxStart) * frac) * scale;
       const double t = dfMax / kLn2;
       // Radius anneals with the same linear profile down to 10%.
       const double rx = rx0 * (1.0 - 0.9 * frac);
@@ -315,7 +325,7 @@ MlgResult legalizeMacros(PlacementDB& db, const MlgConfig& cfg,
         if (sa.tryMove(t, rx, ry)) ++res.accepted;
       }
     }
-    sa.muO *= cfg.kappa;
+    sa.muO *= kKappa;
     // Drift control: recompute totals so incremental error cannot build up.
     sa.computeTotals();
   }

@@ -14,7 +14,8 @@
 // Schedules exactly as published: temperature t_{j,k} = dfmax(j,k)/ln 2 with
 // dfmax interpolated linearly from 0.03*kappa^j down to 1e-4*kappa^j across
 // the inner loop (relative cost units); motion radius r_{j,0} =
-// (R_x/sqrt(m)) * 0.05 * kappa^j, kappa = 1.5. Standard cells stay fixed.
+// (R_x/sqrt(m)) * 0.05 * kappa^j, kappa = 1.5. These schedule constants
+// live in mlg.cpp. Standard cells stay fixed.
 // Macro positions snap to the row/site grid when rows exist, so a zero-
 // overlap outcome is a legal macro layout.
 #pragma once
@@ -28,13 +29,7 @@ namespace ep {
 class RuntimeContext;
 
 struct MlgConfig {
-  double kappa = 1.5;         ///< per-outer-iteration escalation (Sec. VI-A)
   int maxOuterIterations = 20;
-  int innerIterations = 40;   ///< SA temperature steps per outer iteration
-  int movesPerStep = 0;       ///< 0 = one attempt per macro per step
-  double dfMaxStart = 0.03;   ///< accepted relative cost increase at k=0
-  double dfMaxEnd = 1e-4;     ///< … at k=kmax
-  double radiusFactor = 0.05; ///< r_{j,0} = Rx/sqrt(m) * radiusFactor * kappa^j
   /// Extension (paper Sec. III: ePlace "has the flexibility to integrate
   /// the rotational and flipping gradients" but disables them for contest
   /// protocol): allow 90-degree macro rotation / x-mirroring as SA moves.

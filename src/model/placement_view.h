@@ -103,9 +103,6 @@ class PlacementView {
   [[nodiscard]] std::span<const std::uint8_t> fixedMask() const {
     return fixed_;
   }
-  [[nodiscard]] bool isFixed(std::int32_t obj) const {
-    return fixed_[static_cast<std::size_t>(obj)] != 0;
-  }
 
   // --- movable remap --------------------------------------------------------
   /// Movable slot -> object id (same order as PlacementDB::movable()).

@@ -9,6 +9,21 @@
 
 namespace ep {
 
+namespace {
+
+/// Armijo sufficient-decrease constant.
+constexpr double kArmijoC = 1e-4;
+/// Step shrink factor per line-search trial.
+constexpr double kShrink = 0.5;
+/// Cap on line-search trials.
+constexpr int kMaxTrials = 30;
+/// First trial = kGrowth * last accepted step.
+constexpr double kGrowth = 2.0;
+/// Periodic steepest-descent restart interval.
+constexpr int kRestartInterval = 50;
+
+}  // namespace
+
 CgOptimizer::CgOptimizer(std::size_t dim, GradFn fn, CgConfig cfg,
                          ProjectionFn projection)
     : dim_(dim),
@@ -44,28 +59,27 @@ CgOptimizer::StepInfo CgOptimizer::step() {
 
   // Direction must be a descent direction; otherwise restart.
   double gd = dot(grad_, dir_);
-  if (gd >= 0.0 || (cfg_.restartInterval > 0 && iter_ > 0 &&
-                    iter_ % cfg_.restartInterval == 0)) {
+  if (gd >= 0.0 || (iter_ > 0 && iter_ % kRestartInterval == 0)) {
     for (std::size_t i = 0; i < dim_; ++i) dir_[i] = -grad_[i];
     gd = dot(grad_, dir_);
   }
 
   // Armijo backtracking line search along dir_.
   Timer ls;
-  double t = std::max(lastStep_ * cfg_.growth, 1e-12);
+  double t = std::max(lastStep_ * kGrowth, 1e-12);
   double fTrial = f_;
   int trials = 0;
   bool accepted = false;
-  while (trials < cfg_.maxTrials) {
+  while (trials < kMaxTrials) {
     for (std::size_t i = 0; i < dim_; ++i) trial_[i] = x_[i] + t * dir_[i];
     if (project_) project_(trial_);
     fTrial = evaluate(trial_, trialGrad_);
     ++trials;
-    if (fTrial <= f_ + cfg_.armijoC * t * gd) {
+    if (fTrial <= f_ + kArmijoC * t * gd) {
       accepted = true;
       break;
     }
-    t *= cfg_.shrink;
+    t *= kShrink;
   }
   lineSearchSec_ += ls.seconds();
 

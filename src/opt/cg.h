@@ -13,12 +13,7 @@
 namespace ep {
 
 struct CgConfig {
-  double armijoC = 1e-4;          ///< sufficient-decrease constant
-  double shrink = 0.5;            ///< step shrink factor per trial
-  int maxTrials = 30;             ///< cap on line-search trials
-  double growth = 2.0;            ///< first trial = growth * last accepted
   double initialStep = 1.0;       ///< first iteration trial step
-  int restartInterval = 50;       ///< periodic steepest-descent restart
 };
 
 class CgOptimizer {

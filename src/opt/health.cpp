@@ -42,7 +42,6 @@ bool allFinite(std::span<const double> v) {
 HealthMonitor::HealthMonitor(HealthConfig cfg) : cfg_(cfg) {}
 
 bool HealthMonitor::shouldCheckpoint(int iter) const {
-  if (!cfg_.enabled) return false;
   const int every = cfg_.checkpointEvery > 0 ? cfg_.checkpointEvery : 1;
   return iter % every == 0;
 }
@@ -57,8 +56,6 @@ void HealthMonitor::resetAfterRollback(double hpwl, double overflow) {
 HealthEvent HealthMonitor::observe(int iter, double hpwl, double overflow,
                                    std::span<const double> positions,
                                    double gradNorm, double elapsedSeconds) {
-  if (!cfg_.enabled) return HealthEvent::kOk;
-
   // The watchdog outranks everything: even a healthy run must stop cleanly
   // when its budget expires.
   if (cfg_.timeBudgetSeconds > 0.0 && elapsedSeconds > cfg_.timeBudgetSeconds) {

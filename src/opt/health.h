@@ -15,7 +15,6 @@
 namespace ep {
 
 struct HealthConfig {
-  bool enabled = true;
   /// Iterations between checkpoint refresh opportunities (the caller owns
   /// the actual snapshot; shouldCheckpoint() just gates the cadence).
   int checkpointEvery = 25;
@@ -50,9 +49,6 @@ class HealthMonitor {
   /// Re-anchors the smoothed statistics after the caller rolled back to a
   /// checkpoint taken at (hpwl, overflow).
   void resetAfterRollback(double hpwl, double overflow);
-
-  [[nodiscard]] double smoothedHpwl() const { return smoothedHpwl_; }
-  [[nodiscard]] double bestOverflow() const { return bestOverflow_; }
 
  private:
   HealthConfig cfg_;

@@ -9,6 +9,16 @@
 
 namespace ep {
 
+namespace {
+
+/// epsilon of Alg. 2; < 1 encourages early return (paper uses 0.95).
+constexpr double kBacktrackEps = 0.95;
+/// Safety cap on the Alg. 2 loop (paper measures ~1.04 backtracks/iter;
+/// the cap bounds worst-case gradient evaluations per iteration).
+constexpr int kMaxBacktracks = 3;
+
+}  // namespace
+
 NesterovOptimizer::NesterovOptimizer(std::size_t dim, GradFn fn,
                                      NesterovConfig cfg,
                                      ProjectionFn projection,
@@ -145,7 +155,7 @@ NesterovOptimizer::StepInfo NesterovOptimizer::step() {
 
     objective = evaluate(vNext_, gradNext_);
 
-    if (!cfg_.enableBacktracking || bt >= cfg_.maxBacktracks) {
+    if (!cfg_.enableBacktracking || bt >= kMaxBacktracks) {
       info.backtracks = bt;
       break;
     }
@@ -164,7 +174,7 @@ NesterovOptimizer::StepInfo NesterovOptimizer::step() {
     // overestimate; a reference at or above the current step cannot shrink
     // it (re-taking the same step would loop forever on e.g. an exact
     // quadratic where prediction is already tight).
-    if (alphaRef >= alpha || alpha <= cfg_.backtrackEps * alphaRef) {
+    if (alphaRef >= alpha || alpha <= kBacktrackEps * alphaRef) {
       info.backtracks = bt;
       break;
     }

@@ -39,11 +39,6 @@ using GradFn =
 using ProjectionFn = std::function<void(std::span<double> v)>;
 
 struct NesterovConfig {
-  /// epsilon of Alg. 2; < 1 encourages early return (paper uses 0.95).
-  double backtrackEps = 0.95;
-  /// Safety cap on the Alg. 2 loop (paper measures ~1.04 backtracks/iter;
-  /// the cap bounds worst-case gradient evaluations per iteration).
-  int maxBacktracks = 3;
   /// Disable to reproduce the "no backtracking" ablation (Sec. V-C).
   bool enableBacktracking = true;
   /// Disable to degrade the method to plain (projected) gradient descent

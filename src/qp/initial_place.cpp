@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 
 #include "qp/b2b.h"
@@ -13,8 +14,21 @@
 
 namespace ep {
 
+namespace {
+
+constexpr int kCgMaxIterations = 300;
+constexpr double kCgTolerance = 1e-6;
+/// Weight of the weak anchor to the region center added to every movable
+/// when the design has no fixed pins (keeps the system SPD).
+constexpr double kFallbackAnchor = 1e-6;
+/// Deterministic jitter (fraction of region size) applied to the seed so
+/// the first B2B linearization has distinct bounds.
+constexpr double kSeedJitter = 1e-3;
+constexpr std::uint64_t kSeed = 1;
+
+}  // namespace
+
 InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
-                                         const InitialPlaceConfig& cfg,
                                          RuntimeContext* ctx) {
   RuntimeContext& rc = resolveContext(ctx);
   InitialPlaceResult result;
@@ -34,11 +48,11 @@ InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
 
   // Seed: region center plus deterministic jitter.
   const Point c = db.region.center();
-  Rng rng(cfg.seed);
+  Rng rng(kSeed);
   std::vector<double> x(static_cast<std::size_t>(n)),
       y(static_cast<std::size_t>(n));
-  const double jx = cfg.seedJitter * db.region.width();
-  const double jy = cfg.seedJitter * db.region.height();
+  const double jx = kSeedJitter * db.region.width();
+  const double jy = kSeedJitter * db.region.height();
   for (std::int32_t v = 0; v < n; ++v) {
     x[static_cast<std::size_t>(v)] = c.x + rng.uniform(-jx, jx);
     y[static_cast<std::size_t>(v)] = c.y + rng.uniform(-jy, jy);
@@ -70,17 +84,17 @@ InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
     if (!hasFixedPin) {
       const double anchorPos = (axis == Axis::kX) ? c.x : c.y;
       for (std::int32_t v = 0; v < n; ++v) {
-        builder.addDiag(v, cfg.fallbackAnchor);
-        rhs[static_cast<std::size_t>(v)] += cfg.fallbackAnchor * anchorPos;
+        builder.addDiag(v, kFallbackAnchor);
+        rhs[static_cast<std::size_t>(v)] += kFallbackAnchor * anchorPos;
       }
     }
     const Csr A = std::move(builder).build();
-    const CgResult cg = cgSolve(A, rhs, pos, cfg.cgMaxIterations,
-                                cfg.cgTolerance, &rc.pool());
+    const CgResult cg = cgSolve(A, rhs, pos, kCgMaxIterations,
+                                kCgTolerance, &rc.pool());
     result.totalCgIterations += cg.iterations;
   };
 
-  for (int it = 0; it < cfg.outerIterations; ++it) {
+  for (int it = 0; it < kMipOuterIterations; ++it) {
     solveAxis(Axis::kX, x);
     solveAxis(Axis::kY, y);
   }

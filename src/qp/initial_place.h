@@ -9,18 +9,9 @@ namespace ep {
 
 class RuntimeContext;
 
-struct InitialPlaceConfig {
-  int outerIterations = 8;   ///< B2B rebuild count
-  int cgMaxIterations = 300;
-  double cgTolerance = 1e-6;
-  /// Weight of the weak anchor to the region center added to every movable
-  /// when the design has no fixed pins (keeps the system SPD).
-  double fallbackAnchor = 1e-6;
-  /// Deterministic jitter (fraction of region size) applied to the seed so
-  /// the first B2B linearization has distinct bounds.
-  double seedJitter = 1e-3;
-  std::uint64_t seed = 1;
-};
+/// B2B rebuild count: mIP's outer iterations, recorded as its stage
+/// iterations.
+inline constexpr int kMipOuterIterations = 8;
 
 struct InitialPlaceResult {
   double hpwlBefore = 0.0;
@@ -32,7 +23,6 @@ struct InitialPlaceResult {
 /// alternates B2B model construction and CG solves per axis. Updates object
 /// positions in `db` (centers clamped into the region).
 InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
-                                         const InitialPlaceConfig& cfg = {},
                                          RuntimeContext* ctx = nullptr);
 
 }  // namespace ep

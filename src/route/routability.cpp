@@ -12,8 +12,19 @@
 
 namespace ep {
 
-RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
-                                          const RoutabilityConfig& cfg) {
+namespace {
+
+constexpr int kMaxRounds = 2;
+/// Bins with demand above `kHotspotFactor * mean` are hotspots.
+constexpr double kHotspotFactor = 1.5;
+/// Cell area inflation per unit of relative excess demand (capped 2x).
+constexpr double kInflation = 0.5;
+/// Stop when the hotspot score improves less than this fraction.
+constexpr double kMinImprovement = 0.02;
+
+}  // namespace
+
+RoutabilityResult routabilityDrivenRefine(PlacementDB& db) {
   RoutabilityResult res;
   res.hpwlBefore = hpwl(db);
   {
@@ -37,16 +48,16 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
   }
 
   double prevScore = res.hotspotBefore;
-  for (int round = 0; round < cfg.maxRounds; ++round) {
+  for (int round = 0; round < kMaxRounds; ++round) {
     const CongestionMap rudy = estimateRudy(db);
     if (round > 0) {
       const double improvement = (prevScore - rudy.hotspot) / prevScore;
-      if (improvement < cfg.minImprovement) break;
+      if (improvement < kMinImprovement) break;
       prevScore = rudy.hotspot;
     }
 
     // Inflate hotspot cells (width only: height is the row pitch).
-    const double threshold = cfg.hotspotFactor * rudy.mean;
+    const double threshold = kHotspotFactor * rudy.mean;
     std::size_t inflated = 0;
     for (const auto& [idx, w] : trueW) {
       auto& o = db.objects[static_cast<std::size_t>(idx)];
@@ -55,7 +66,7 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
       double factor = 1.0;
       if (demand > threshold && rudy.mean > 0.0) {
         factor = std::min(
-            2.0, 1.0 + cfg.inflation * (demand / rudy.mean - cfg.hotspotFactor));
+            2.0, 1.0 + kInflation * (demand / rudy.mean - kHotspotFactor));
         ++inflated;
       }
       o.w = w * factor;
@@ -75,7 +86,7 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
     }
 
     // Re-place with the inflated footprints.
-    GlobalPlacer gp(db, db.movable(), cfg.flow.gp);
+    GlobalPlacer gp(db, db.movable(), GpConfig{});
     gp.makeFillersFromDb();
     gp.run();
 
@@ -87,7 +98,7 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
       o.setCenter(c.x, c.y);
     }
     legalizeCells(db);
-    detailPlace(db, cfg.flow.detail);
+    detailPlace(db);
     ++res.rounds;
   }
 

@@ -5,22 +5,10 @@
 // with the inflated footprints, then restore true sizes and legalize.
 #pragma once
 
-#include "eplace/flow.h"
 #include "model/netlist.h"
 #include "route/rudy.h"
 
 namespace ep {
-
-struct RoutabilityConfig {
-  int maxRounds = 2;
-  /// Bins with demand above `threshold * mean` are hotspots.
-  double hotspotFactor = 1.5;
-  /// Cell area inflation per unit of relative excess demand (capped 2x).
-  double inflation = 0.5;
-  /// Stop when the hotspot score improves less than this fraction.
-  double minImprovement = 0.02;
-  FlowConfig flow;  ///< settings for the re-placement rounds
-};
 
 struct RoutabilityResult {
   double hotspotBefore = 0.0;
@@ -36,7 +24,6 @@ struct RoutabilityResult {
 /// Takes a *placed* (post-flow) design and trades wirelength for routing
 /// hotspot relief. Standard cells only; macros stay fixed. The layout is
 /// legalized again before returning.
-RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
-                                          const RoutabilityConfig& cfg = {});
+RoutabilityResult routabilityDrivenRefine(PlacementDB& db);
 
 }  // namespace ep

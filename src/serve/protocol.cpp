@@ -1,7 +1,6 @@
 #include "serve/protocol.h"
 
-#include <cstdio>
-#include <cstdlib>
+#include "util/run_record.h"
 
 namespace ep::serve {
 
@@ -46,37 +45,6 @@ const char* faultKindName(FaultKind k) {
 }
 
 }  // namespace
-
-std::string hexBits(std::uint64_t bits) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016llx",
-                static_cast<unsigned long long>(bits));
-  return buf;
-}
-
-bool parseHexBits(const std::string& s, std::uint64_t* out) {
-  if (s.size() < 3 || s[0] != '0' || (s[1] != 'x' && s[1] != 'X')) {
-    return false;
-  }
-  std::uint64_t v = 0;
-  for (std::size_t i = 2; i < s.size(); ++i) {
-    const char c = s[i];
-    std::uint64_t d = 0;
-    if (c >= '0' && c <= '9') {
-      d = static_cast<std::uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      d = static_cast<std::uint64_t>(c - 'a') + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      d = static_cast<std::uint64_t>(c - 'A') + 10;
-    } else {
-      return false;
-    }
-    if (i > 2 + 15) return false;  // more than 16 hex digits
-    v = (v << 4) | d;
-  }
-  *out = v;
-  return true;
-}
 
 Status jobSpecFromJson(const JsonValue& v, JobSpec* out) {
   if (!v.isObject()) return Status::invalidInput("job must be an object");
@@ -229,7 +197,7 @@ JsonValue outcomeToJson(const JobOutcome& out) {
     v.set("status_message", JsonValue::str(out.status.message()));
   }
   v.set("hpwl", JsonValue::number(out.finalHpwl));
-  v.set("hpwl_bits", JsonValue::str(hexBits(out.hpwlBits)));
+  v.set("hpwl_bits", JsonValue::str(hexBits64(out.hpwlBits)));
   v.set("legal", JsonValue::boolean(out.legal));
   v.set("wall_seconds", JsonValue::number(out.wallSeconds));
   v.set("queue_wait_seconds", JsonValue::number(out.queueWaitSeconds));
@@ -259,7 +227,8 @@ Status outcomeFromJson(const JsonValue& v, JobOutcome* out) {
                     ? Status::okStatus()
                     : Status(code, v.getString("status_message"));
   out->finalHpwl = v.getNumber("hpwl", 0.0);
-  if (!parseHexBits(v.getString("hpwl_bits", "0x0"), &out->hpwlBits)) {
+  if (v.find("hpwl_bits") != nullptr &&
+      !parseHexBits64(v.getString("hpwl_bits"), &out->hpwlBits)) {
     return Status::invalidInput("outcome.hpwl_bits malformed");
   }
   out->legal = v.getBool("legal", false);

@@ -135,8 +135,4 @@ JsonValue errorResponse(const Status& s);
 /// Reverses errorResponse on the client: OK for `{"ok":true,...}`.
 Status statusFromResponse(const JsonValue& v);
 
-/// "0x"-prefixed lowercase hex of a 64-bit pattern (and its inverse).
-std::string hexBits(std::uint64_t bits);
-bool parseHexBits(const std::string& s, std::uint64_t* out);
-
 }  // namespace ep::serve

@@ -9,12 +9,19 @@
 
 namespace ep {
 
+namespace {
+
+/// Weight gain on fully critical nets.
+constexpr double kAlpha = 4.0;
+
+}  // namespace
+
 TimingDrivenResult timingDrivenPlace(PlacementDB& db,
                                      const TimingDrivenConfig& cfg) {
   TimingDrivenResult res;
 
   // Seed run fixes the clock target.
-  runSupervisedFlow(db, cfg.flow, plainPolicy());
+  runSupervisedFlow(db, {}, plainPolicy());
   {
     const StaResult seed = staAnalyze(db);
     res.clockPeriod = cfg.clockFactor * seed.maxDelay;
@@ -50,9 +57,9 @@ TimingDrivenResult timingDrivenPlace(PlacementDB& db,
     const StaResult sta = staAnalyze(db, res.clockPeriod);
     for (std::size_t e = 0; e < db.nets.size(); ++e) {
       const double crit = sta.criticality(e);
-      db.nets[e].weight = origWeight[e] * (1.0 + cfg.alpha * crit * crit);
+      db.nets[e].weight = origWeight[e] * (1.0 + kAlpha * crit * crit);
     }
-    runSupervisedFlow(db, cfg.flow, plainPolicy());
+    runSupervisedFlow(db, {}, plainPolicy());
     ++res.rounds;
 
     const StaResult now = staAnalyze(db, res.clockPeriod);

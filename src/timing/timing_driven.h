@@ -6,7 +6,6 @@
 // ePlace engine becomes timing-aware with no optimizer changes.
 #pragma once
 
-#include "eplace/flow.h"
 #include "model/netlist.h"
 #include "timing/sta.h"
 
@@ -14,9 +13,7 @@ namespace ep {
 
 struct TimingDrivenConfig {
   int rounds = 2;          ///< reweight/replace iterations after the seed run
-  double alpha = 4.0;      ///< weight gain on fully critical nets
   double clockFactor = 1.05;  ///< clock = factor * seed-run critical path
-  FlowConfig flow;
 };
 
 struct TimingDrivenResult {

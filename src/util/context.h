@@ -137,11 +137,6 @@ class RuntimeContext {
   [[nodiscard]] bool deadlineExceeded() const {
     return remainingSeconds() <= 0.0;
   }
-  /// Re-arms the deadline relative to *now* (<= 0 clears it).
-  void setWallBudget(double seconds) {
-    wallBudgetSeconds_ = seconds;
-    clock_.reset();
-  }
 
   /// Requests cooperative cancellation. Safe from any thread (the serving
   /// layer calls it from its control plane while the flow runs); the first
@@ -161,13 +156,6 @@ class RuntimeContext {
   [[nodiscard]] std::string cancelReason() const {
     std::lock_guard<std::mutex> lock(cancelMu_);
     return cancelReason_;
-  }
-  /// Re-arms the token for context reuse (tests, pooled runtimes). Only
-  /// from single-threaded setup — never while a flow is in flight.
-  void clearCancel() {
-    cancelRequested_.store(false, std::memory_order_release);
-    std::lock_guard<std::mutex> lock(cancelMu_);
-    cancelReason_.clear();
   }
 
   /// The shared fallback context: hardware-sized pool, unprefixed default

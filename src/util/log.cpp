@@ -112,10 +112,6 @@ LogSink& defaultLogSink() {
 void setLogLevel(LogLevel level) { defaultLogSink().setLevel(level); }
 LogLevel logLevel() { return defaultLogSink().level(); }
 
-void logLine(LogLevel level, std::string_view msg) {
-  defaultLogSink().write(level, msg);
-}
-
 #define EP_DEFINE_LOG(Name, Level)            \
   void Name(const char* fmt, ...) {           \
     va_list args;                             \

@@ -51,8 +51,6 @@ class LogSink {
   [[nodiscard]] LogLevel level() const {
     return level_.load(std::memory_order_relaxed);
   }
-  /// Setup-time only (not synchronized against concurrent logging).
-  void setPrefix(std::string prefix) { prefix_ = std::move(prefix); }
   [[nodiscard]] const std::string& prefix() const { return prefix_; }
   void setTimestamps(bool on) {
     timestamps_.store(on, std::memory_order_relaxed);
@@ -89,9 +87,6 @@ LogSink& defaultLogSink();
 /// Minimum level of the default sink; messages below it are dropped.
 void setLogLevel(LogLevel level);
 LogLevel logLevel();
-
-/// Emit one line through the default sink.
-void logLine(LogLevel level, std::string_view msg);
 
 /// printf-style logging through the default sink.
 void logDebug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));

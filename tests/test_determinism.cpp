@@ -60,7 +60,7 @@ struct RunOutcome {
 RunOutcome runMgp(std::uint64_t seed, int threads) {
   RuntimeContext ctx(threads);
   PlacementDB db = circuit(seed, 400);
-  quadraticInitialPlace(db, {}, &ctx);
+  quadraticInitialPlace(db, &ctx);
   GlobalPlacer gp(db, db.movable(), GpConfig{}, &ctx);
   gp.makeFillersFromDb();
   const GpResult res = gp.run();
@@ -83,7 +83,7 @@ RunOutcome runMixedFlow(std::uint64_t seed, int threads) {
 std::vector<double> runMip(const char* suiteName, int threads) {
   RuntimeContext ctx(threads);
   PlacementDB db = generateCircuit(suiteSpec(suiteName));
-  quadraticInitialPlace(db, {}, &ctx);
+  quadraticInitialPlace(db, &ctx);
   return movablePositions(db);
 }
 

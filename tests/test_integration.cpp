@@ -5,14 +5,19 @@
 
 #include <filesystem>
 
+#include "baseline/bell.h"
 #include "baseline/mincut.h"
 #include "baseline/quadratic.h"
 #include "bookshelf/bookshelf.h"
+#include "cluster/cluster.h"
 #include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/suites.h"
 #include "legal/detail.h"
 #include "legal/legalize.h"
+#include "route/routability.h"
+#include "timing/timing_driven.h"
+#include "util/run_record.h"
 #include "wirelength/wl.h"
 
 namespace ep {
@@ -129,6 +134,66 @@ TEST(Integration, EplaceBeatsNaivePlacementOnQuality) {
   detailPlace(b);
 
   EXPECT_LT(hpwl(a), hpwl(b));
+}
+
+TEST(Integration, BaselinesExtensionsAndLadderPinnedBitExact) {
+  // The goldens and regression baselines pin mIP, mGP, mLG, cGP and cDP.
+  // This pins what they do not reach: the three baseline placers, the
+  // routability and timing extensions, and the shape of the cluster
+  // ladder. Each literal is the final HPWL's IEEE-754 bit pattern, so a
+  // changed constant in any of them fails here.
+  auto design = [](std::uint64_t seed, std::size_t cells) {
+    GenSpec spec;
+    spec.name = "pin";
+    spec.numCells = cells;
+    spec.seed = seed;
+    return generateCircuit(spec);
+  };
+  auto bits = [](double v) { return hexBits64(doubleBits(v)); };
+
+  PlacementDB mc = design(41, 300);
+  minCutPlace(mc);
+  EXPECT_EQ(bits(hpwl(mc)), "0x40af5bee1f0701dc") << "minCutPlace";
+
+  PlacementDB qp = design(42, 300);
+  quadraticPlace(qp);
+  EXPECT_EQ(bits(hpwl(qp)), "0x40ac5f5d5fe4296e") << "quadraticPlace";
+
+  BellPlaceConfig bell;
+  PlacementDB bc = design(43, 300);
+  bellPlace(bc, bell);
+  EXPECT_EQ(bits(hpwl(bc)), "0x40aaf3d45a371816") << "bellPlace (CG)";
+  bell.useNesterov = true;
+  PlacementDB bn = design(43, 300);
+  bellPlace(bn, bell);
+  EXPECT_EQ(bits(hpwl(bn)), "0x40aadbb16c55e859") << "bellPlace (Nesterov)";
+
+  PlacementDB rt = design(44, 300);
+  runSupervisedFlow(rt, {}, plainPolicy());
+  EXPECT_GT(routabilityDrivenRefine(rt).rounds, 0);
+  EXPECT_EQ(bits(hpwl(rt)), "0x40a9f61a73681c67")
+      << "routabilityDrivenRefine";
+
+  // A clock below the seed run's critical path leaves negative slack, so
+  // the reweighted rounds can win over the seed placement.
+  TimingDrivenConfig td;
+  td.clockFactor = 0.9;
+  PlacementDB tm = design(45, 300);
+  timingDrivenPlace(tm, td);
+  EXPECT_EQ(bits(hpwl(tm)), "0x40a93abcaed8917b") << "timingDrivenPlace";
+
+  ClusterConfig cc;
+  cc.minMovable = 150;
+  const auto ladder = buildClusterLadder(design(46, 900), cc);
+  ASSERT_TRUE(ladder.ok());
+  ASSERT_FALSE(ladder->empty());
+  std::vector<std::size_t> movable;
+  for (const auto& level : ladder->levels) {
+    movable.push_back(level.fineMovable);
+  }
+  movable.push_back(ladder->levels.back().coarse.movable().size());
+  EXPECT_EQ(movable, (std::vector<std::size_t>{900, 489, 276, 163, 104}))
+      << "buildClusterLadder per-level movable counts";
 }
 
 }  // namespace

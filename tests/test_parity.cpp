@@ -80,7 +80,7 @@ RunOutcome runMgp(const GoldenCase& c, int threads) {
   spec.numCells = c.cells;
   spec.seed = c.seed;
   PlacementDB db = generateCircuit(spec);
-  quadraticInitialPlace(db, {}, &ctx);
+  quadraticInitialPlace(db, &ctx);
   GlobalPlacer gp(db, db.movable(), GpConfig{}, &ctx);
   gp.makeFillersFromDb();
   const GpResult res = gp.run();
@@ -330,7 +330,7 @@ TEST(ScratchArena, PoissonSolverSteadyStateNeverGrows) {
 TEST(ScratchArena, SecondGpRunReusesFirstRunsBuffers) {
   RuntimeContext ctx(1);
   PlacementDB db = testCircuit(11, 200);
-  quadraticInitialPlace(db, {}, &ctx);
+  quadraticInitialPlace(db, &ctx);
 
   GpConfig cfg;
   cfg.maxIterations = 30;

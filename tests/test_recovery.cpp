@@ -46,7 +46,7 @@ bool placementInsideRegion(const PlacementDB& db) {
 
 GpResult runPlacer(PlacementDB& db, const GpConfig& cfg,
                    RuntimeContext& ctx) {
-  quadraticInitialPlace(db, {}, &ctx);
+  quadraticInitialPlace(db, &ctx);
   GlobalPlacer gp(db, db.movable(), cfg, &ctx);
   gp.makeFillersFromDb();
   return gp.run();

@@ -258,19 +258,6 @@ TEST(Protocol, OutcomeRoundTripPreservesHpwlBits) {
   EXPECT_TRUE(back.resumed);
 }
 
-TEST(Protocol, HexBitsRoundTrip) {
-  for (const std::uint64_t bits :
-       {0ULL, 1ULL, 0xdeadbeefcafef00dULL, ~0ULL}) {
-    std::uint64_t back = 0;
-    ASSERT_TRUE(parseHexBits(hexBits(bits), &back));
-    EXPECT_EQ(back, bits);
-  }
-  std::uint64_t ignored = 0;
-  EXPECT_FALSE(parseHexBits("", &ignored));
-  EXPECT_FALSE(parseHexBits("12ab", &ignored));     // no 0x prefix
-  EXPECT_FALSE(parseHexBits("0xzz", &ignored));
-}
-
 TEST(Protocol, ErrorResponseRoundTripsStatusKind) {
   for (const Status& s :
        {Status::resourceExhausted("queue full"), Status::unavailable("bye"),
