@@ -76,38 +76,6 @@ namespace {
 // 6 is reserved by this CLI for "placed but not legal".
 int exitCodeFor(ep::StatusCode code) { return ep::statusExitCode(code); }
 
-/// Parses "site=kind@tick" or "site=kind@tickxCount"; armed on the run
-/// context once it exists (after --threads / --log-level are known).
-bool parseInjection(const std::string& arg, std::string* site,
-                    ep::FaultSpec* spec) {
-  const auto eq = arg.find('=');
-  const auto at = arg.find('@');
-  if (eq == std::string::npos || at == std::string::npos || at < eq) {
-    return false;
-  }
-  *site = arg.substr(0, eq);
-  const std::string kind = arg.substr(eq + 1, at - eq - 1);
-  std::string tickStr = arg.substr(at + 1);
-  if (kind == "nan") {
-    spec->kind = ep::FaultKind::kNaN;
-  } else if (kind == "spike") {
-    spec->kind = ep::FaultKind::kSpike;
-  } else if (kind == "trunc") {
-    spec->kind = ep::FaultKind::kTruncate;
-  } else if (kind == "error") {
-    spec->kind = ep::FaultKind::kError;
-  } else {
-    return false;
-  }
-  const auto x = tickStr.find('x');
-  if (x != std::string::npos) {
-    spec->count = std::atoi(tickStr.c_str() + x + 1);
-    tickStr.resize(x);
-  }
-  spec->atTick = std::atol(tickStr.c_str());
-  return true;
-}
-
 /// Reads a batch manifest: one .aux path per line, blank lines and
 /// #-comments skipped.
 bool readManifest(const std::string& path, std::vector<ep::BatchItem>* out) {
@@ -136,7 +104,7 @@ int place(ep::RuntimeContext& ctx, ep::PlacementDB& db,
   }
   if (!recordOut.empty()) {
     const ep::RunRecord rec =
-        ep::buildRunRecord(db, *run, &report, &ctx, supervised);
+        ep::buildRunRecord(db, *run, report, &ctx, supervised);
     const ep::Status wr = ep::writeRunRecordFile(recordOut, rec, &ctx.faults());
     if (!wr.ok()) {
       std::fprintf(stderr, "record write failed: %s\n", wr.toString().c_str());
@@ -183,6 +151,8 @@ int main(int argc, char** argv) {
   ep::FlowConfig cfg;
   ep::SupervisorConfig sup;
   bool supervised = false;
+  // Armed on the run context once it exists (after --threads and
+  // --log-level are known).
   std::vector<std::pair<std::string, ep::FaultSpec>> injections;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -242,7 +212,7 @@ int main(int argc, char** argv) {
     } else if (a == "--inject" && i + 1 < argc) {
       std::string site;
       ep::FaultSpec spec;
-      if (!parseInjection(argv[++i], &site, &spec)) {
+      if (!ep::parseFaultSpec(argv[++i], &site, &spec)) {
         std::fprintf(stderr, "bad --inject spec %s\n", argv[i]);
         return 1;
       }

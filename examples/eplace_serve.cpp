@@ -44,36 +44,6 @@ volatile std::sig_atomic_t gSignalled = 0;
 
 void onSignal(int) { gSignalled = 1; }
 
-bool parseInjection(const std::string& arg, std::string* site,
-                    ep::FaultSpec* spec) {
-  const auto eq = arg.find('=');
-  const auto at = arg.find('@');
-  if (eq == std::string::npos || at == std::string::npos || at < eq) {
-    return false;
-  }
-  *site = arg.substr(0, eq);
-  const std::string kind = arg.substr(eq + 1, at - eq - 1);
-  std::string tickStr = arg.substr(at + 1);
-  if (kind == "nan") {
-    spec->kind = ep::FaultKind::kNaN;
-  } else if (kind == "spike") {
-    spec->kind = ep::FaultKind::kSpike;
-  } else if (kind == "trunc") {
-    spec->kind = ep::FaultKind::kTruncate;
-  } else if (kind == "error") {
-    spec->kind = ep::FaultKind::kError;  // io.* sites: typed error return
-  } else {
-    return false;
-  }
-  const auto x = tickStr.find('x');
-  if (x != std::string::npos) {
-    spec->count = std::atoi(tickStr.c_str() + x + 1);
-    tickStr.resize(x);
-  }
-  spec->atTick = std::atol(tickStr.c_str());
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -101,7 +71,7 @@ int main(int argc, char** argv) {
     } else if (a == "--inject" && i + 1 < argc) {
       std::string site;
       ep::FaultSpec spec;
-      if (!parseInjection(argv[++i], &site, &spec)) {
+      if (!ep::parseFaultSpec(argv[++i], &site, &spec)) {
         std::fprintf(stderr, "bad --inject spec %s\n", argv[i]);
         return 1;
       }

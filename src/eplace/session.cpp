@@ -81,7 +81,7 @@ StatusOr<FlowResult> PlacerSession::place() {
       &ctx_);
   if (run.ok()) {
     result_ = *run;
-    record_ = buildRunRecord(db_, result_, &report_, &ctx_, opt_.supervised);
+    record_ = buildRunRecord(db_, result_, report_, &ctx_, opt_.supervised);
     hasResult_ = true;
   }
   return run;

@@ -907,7 +907,7 @@ StageRecord stageRecord(std::string stage, const StageMetrics& m) {
 }  // namespace
 
 RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
-                         const SupervisorReport* report, RuntimeContext* ctx,
+                         const SupervisorReport& report, RuntimeContext* ctx,
                          bool supervised) {
   RuntimeContext& rc = resolveContext(ctx);
   RunRecord rec;
@@ -939,11 +939,8 @@ RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
   for (const auto& row : rows) {
     StageRecord sr = stageRecord(flowStageName(row.stage), row.m);
     sr.recoveries = row.recoveries;
-    if (report != nullptr) {
-      for (const StageReport& rep : report->stages) {
-        if (rep.stage != row.stage) continue;
-        sr.retries += std::max(0, rep.attempts - 1);
-      }
+    for (const StageReport& rep : report.stages) {
+      if (rep.stage == row.stage) sr.retries += std::max(0, rep.attempts - 1);
     }
     const std::string prefix = std::string("flow.") + sr.stage + ".";
     sr.rollbacks = static_cast<int>(rc.stats().value(prefix + "rollbacks"));
@@ -961,7 +958,7 @@ RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
   rec.totalSeconds = res.totalSeconds;
   rec.peakBytes = rc.memory().peakBytes();
   rec.arenaGrowthEvents = db.view().arena().growthEvents();
-  rec.snapshotsWritten = report != nullptr ? report->snapshotsWritten : 0;
+  rec.snapshotsWritten = report.snapshotsWritten;
   rec.status = statusCodeName(res.status.code());
   for (const auto& [k, v] : rc.stats().snapshot()) rec.stats.emplace_back(k, v);
   return rec;

@@ -184,13 +184,16 @@ StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
                                        RuntimeContext* ctx = nullptr);
 
 /// Assembles the structured run record (util/run_record.h) for a finished
-/// flow: per-stage metrics from `res`, retry counts from `report` (nullptr
-/// records none), recovery/rollback/snapshot counters
-/// and the stats dump from `ctx`'s registry, fingerprint/seed/threads from
-/// the input and context. Lives here — not in util — because it reads
-/// PlacementDB and FlowResult, which the util layer must not know about.
+/// flow: per-stage metrics from `res`, retry and snapshot counts from
+/// `report`, recovery/rollback/snapshot counters and the stats dump from
+/// `ctx`'s registry, fingerprint/seed/threads from the input and context.
+/// A row's `snapshots` counts the snapshots whose cursor is that stage (the
+/// boundary snapshot leading into it, and any taken inside it), so the
+/// last one, cursor "done", counts on no row. Lives
+/// here — not in util — because it reads PlacementDB and FlowResult, which
+/// the util layer must not know about.
 RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
-                         const SupervisorReport* report = nullptr,
+                         const SupervisorReport& report,
                          RuntimeContext* ctx = nullptr,
                          bool supervised = true);
 

@@ -19,31 +19,6 @@ bool toU64(const JsonValue& v, std::uint64_t* out) {
   return true;
 }
 
-bool faultKindFromName(const std::string& name, FaultKind* out) {
-  if (name == "nan") {
-    *out = FaultKind::kNaN;
-  } else if (name == "spike") {
-    *out = FaultKind::kSpike;
-  } else if (name == "trunc") {
-    *out = FaultKind::kTruncate;
-  } else if (name == "error") {
-    *out = FaultKind::kError;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* faultKindName(FaultKind k) {
-  switch (k) {
-    case FaultKind::kNaN: return "nan";
-    case FaultKind::kSpike: return "spike";
-    case FaultKind::kTruncate: return "trunc";
-    case FaultKind::kError: return "error";
-  }
-  return "nan";
-}
-
 }  // namespace
 
 Status jobSpecFromJson(const JsonValue& v, JobSpec* out) {

@@ -1,5 +1,6 @@
 #include "util/fault_injector.h"
 
+#include <charconv>
 #include <limits>
 
 #include "util/log.h"
@@ -88,6 +89,60 @@ std::span<const char* const> knownFaultSites() {
       "io.enospc",
   };
   return kSites;
+}
+
+namespace {
+
+// Indexed by FaultKind.
+constexpr const char* kKindNames[] = {"nan", "spike", "trunc", "error"};
+
+/// The whole of `text` as a number, or false.
+template <class N>
+bool parseWhole(std::string_view text, N* out) {
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
+
+const char* faultKindName(FaultKind kind) {
+  return kKindNames[static_cast<std::size_t>(kind)];
+}
+
+bool faultKindFromName(std::string_view name, FaultKind* out) {
+  for (std::size_t i = 0; i < std::size(kKindNames); ++i) {
+    if (name == kKindNames[i]) {
+      *out = static_cast<FaultKind>(i);
+      return true;
+    }
+  }
+  return false;
+}
+
+bool parseFaultSpec(std::string_view arg, std::string* site, FaultSpec* spec) {
+  const auto eq = arg.find('=');
+  const auto at = arg.find('@');
+  if (eq == 0 || eq == std::string_view::npos ||
+      at == std::string_view::npos || at < eq) {
+    return false;
+  }
+  FaultSpec parsed = *spec;
+  if (!faultKindFromName(arg.substr(eq + 1, at - eq - 1), &parsed.kind)) {
+    return false;
+  }
+  std::string_view tick = arg.substr(at + 1);
+  const auto x = tick.find('x');
+  if (x != std::string_view::npos) {
+    if (!parseWhole(tick.substr(x + 1), &parsed.count) || parsed.count < -1) {
+      return false;
+    }
+    tick = tick.substr(0, x);
+  }
+  if (!parseWhole(tick, &parsed.atTick) || parsed.atTick < 0) return false;
+  *site = std::string(arg.substr(0, eq));
+  *spec = parsed;
+  return true;
 }
 
 }  // namespace ep

@@ -44,6 +44,7 @@
 #include <mutex>
 #include <span>
 #include <string>
+#include <string_view>
 
 #include "util/rng.h"
 
@@ -112,5 +113,16 @@ class FaultInjector {
 /// the flow degrades with a typed Status instead of crashing; keep this list
 /// in sync when instrumenting a new site.
 std::span<const char* const> knownFaultSites();
+
+/// FaultKind wire names ("nan", "spike", "trunc", "error"), shared by the
+/// --inject flag and the serve protocol's inject entries.
+const char* faultKindName(FaultKind kind);
+bool faultKindFromName(std::string_view name, FaultKind* out);
+
+/// Parses an --inject spec, "site=kind@tick" or "site=kind@tickxN" (N = -1:
+/// every pass from `tick` on). False for an empty site, an unknown kind, a
+/// negative tick, N < -1 or anything after the numbers; `spec` keeps its
+/// magnitude.
+bool parseFaultSpec(std::string_view arg, std::string* site, FaultSpec* spec);
 
 }  // namespace ep

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <concepts>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
+#include <string_view>
 #include <system_error>
 
 #include "util/io.h"
@@ -58,281 +61,251 @@ double bitsToDouble(std::uint64_t bits) {
 
 namespace {
 
-JsonValue num(double v) { return JsonValue::number(v); }
+// The schema: each object's fields are listed once, in the *Fields()
+// functions below, and three streams walk that list. The Writer appends the
+// members in list order, the Reader reads them strictly, and the Flattener
+// hands the regression gate every gated field in its written form. A field
+// is added, renamed or re-tiered in one line, and the writer, the reader
+// and the gate cannot disagree about it.
 
-/// Strict-object helper: every expected key must be present and no other
-/// key may appear, so a renamed/dropped/added field is a parse error (the
-/// schema-drift arm of the regression gate).
-Status checkKeys(const JsonValue& v, const char* what,
-                 const std::vector<std::string_view>& expected) {
-  for (const std::string_view key : expected) {
-    if (v.find(key) == nullptr) {
-      return Status::invalidInput(std::string(what) + ": missing field \"" +
-                                  std::string(key) + "\"");
-    }
-  }
-  for (const auto& [k, unused] : v.members()) {
-    (void)unused;
-    if (std::find(expected.begin(), expected.end(), k) == expected.end()) {
-      return Status::invalidInput(std::string(what) + ": unknown field \"" +
-                                  k + "\"");
-    }
-  }
-  return Status::okStatus();
+/// What the regression gate does with a field.
+enum class Tier : std::uint8_t {
+  kRecorded,      ///< written and read, never compared (noisy or redundant)
+  kPrecondition,  ///< must match, or the records are incomparable
+  kExact,         ///< identical across candidates and to the baseline
+  kWall,          ///< median of the candidates against the banded baseline
+};
+
+/// Field forms other than the member's own type: a u64 as its "0x%016x" bit
+/// pattern, and the schema version, which a reader rejects unless current.
+template <class U>
+struct Hex {
+  U& v;
+};
+template <class U>
+struct Version {
+  U& v;
+};
+
+using Stats = std::vector<std::pair<std::string, double>>;
+
+// Each value type's written form, and its strict read: fromJson returns ""
+// or the tail of the message that names the member.
+JsonValue toJson(double v) { return JsonValue::number(v); }
+JsonValue toJson(bool v) { return JsonValue::boolean(v); }
+JsonValue toJson(const std::string& v) { return JsonValue::str(v); }
+template <std::integral I>
+JsonValue toJson(I v) {
+  return JsonValue::number(static_cast<double>(v));
 }
-
-Status needNumber(const JsonValue& v, const char* what, std::string_view key,
-                  double* out) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr || !f->isNumber()) {
-    return Status::invalidInput(std::string(what) + "." + std::string(key) +
-                                " must be a number");
-  }
-  *out = f->asNumber();
-  return Status::okStatus();
+JsonValue toJson(Hex<const std::uint64_t> h) {
+  return JsonValue::str(hexBits64(h.v));
 }
-
-Status needBool(const JsonValue& v, const char* what, std::string_view key,
-                bool* out) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr || !f->isBool()) {
-    return Status::invalidInput(std::string(what) + "." + std::string(key) +
-                                " must be a bool");
-  }
-  *out = f->asBool();
-  return Status::okStatus();
-}
-
-Status needString(const JsonValue& v, const char* what, std::string_view key,
-                  std::string* out) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr || !f->isString()) {
-    return Status::invalidInput(std::string(what) + "." + std::string(key) +
-                                " must be a string");
-  }
-  *out = f->asString();
-  return Status::okStatus();
-}
-
-Status needBits(const JsonValue& v, const char* what, std::string_view key,
-                std::uint64_t* out) {
-  std::string s;
-  Status st = needString(v, what, key, &s);
-  if (!st.ok()) return st;
-  if (!parseHexBits64(s, out)) {
-    return Status::invalidInput(std::string(what) + "." + std::string(key) +
-                                " is not a 0x… bit pattern");
-  }
-  return Status::okStatus();
-}
-
-JsonValue stageToJson(const StageRecord& s) {
+JsonValue toJson(Version<const int> ver) { return toJson(ver.v); }
+JsonValue toJson(const Stats& stats) {
   JsonValue v = JsonValue::object();
-  v.set("stage", JsonValue::str(s.stage));
-  v.set("ran", JsonValue::boolean(s.ran));
-  v.set("wall_ms", num(s.wallMs));
-  v.set("iterations", num(static_cast<double>(s.iterations)));
-  v.set("hpwl", num(s.hpwl));
-  v.set("hpwl_bits", JsonValue::str(hexBits64(s.hpwlBits)));
-  v.set("overflow", num(s.overflow));
-  v.set("retries", num(s.retries));
-  v.set("recoveries", num(s.recoveries));
-  v.set("rollbacks", num(s.rollbacks));
-  v.set("snapshots", num(s.snapshots));
+  for (const auto& [k, val] : stats) v.set(k, JsonValue::number(val));
   return v;
 }
 
-Status stageFromJson(const JsonValue& v, StageRecord* out) {
-  if (!v.isObject()) {
-    return Status::invalidInput("record.stages entry must be an object");
+std::string fromJson(const JsonValue& j, double& v) {
+  if (!j.isNumber()) return " must be a number";
+  v = j.asNumber();
+  return {};
+}
+std::string fromJson(const JsonValue& j, bool& v) {
+  if (!j.isBool()) return " must be a bool";
+  v = j.asBool();
+  return {};
+}
+std::string fromJson(const JsonValue& j, std::string& v) {
+  if (!j.isString()) return " must be a string";
+  v = j.asString();
+  return {};
+}
+template <std::integral I>
+std::string fromJson(const JsonValue& j, I& v) {
+  // Range-checked, so a hostile number is a typed error, not an UB cast.
+  const double d = j.asNumber();
+  if (!j.isNumber() ||
+      !(d >= static_cast<double>(std::numeric_limits<I>::min()) &&
+        d < std::ldexp(1.0, std::numeric_limits<I>::digits))) {
+    return " must be a number in range";
   }
-  Status st = checkKeys(v, "record.stage",
-                        {"stage", "ran", "wall_ms", "iterations", "hpwl",
-                         "hpwl_bits", "overflow", "retries", "recoveries",
-                         "rollbacks", "snapshots"});
-  if (!st.ok()) return st;
-  *out = StageRecord{};
-  double d = 0;
-  if (!(st = needString(v, "stage", "stage", &out->stage)).ok()) return st;
-  if (!(st = needBool(v, "stage", "ran", &out->ran)).ok()) return st;
-  if (!(st = needNumber(v, "stage", "wall_ms", &out->wallMs)).ok()) return st;
-  if (!(st = needNumber(v, "stage", "iterations", &d)).ok()) return st;
-  out->iterations = static_cast<long>(d);
-  if (!(st = needNumber(v, "stage", "hpwl", &out->hpwl)).ok()) return st;
-  if (!(st = needBits(v, "stage", "hpwl_bits", &out->hpwlBits)).ok()) {
-    return st;
+  v = static_cast<I>(d);
+  return {};
+}
+std::string fromJson(const JsonValue& j, Hex<std::uint64_t> h) {
+  if (!j.isString() || !parseHexBits64(j.asString(), &h.v)) {
+    return " is not a 0x… bit pattern";
   }
-  if (!(st = needNumber(v, "stage", "overflow", &out->overflow)).ok()) {
-    return st;
+  return {};
+}
+std::string fromJson(const JsonValue& j, Version<int> ver) {
+  std::string err = fromJson(j, ver.v);
+  if (err.empty() && ver.v != RunRecord::kSchemaVersion) {
+    err = " " + std::to_string(ver.v) + " unsupported (expected " +
+          std::to_string(RunRecord::kSchemaVersion) + ")";
   }
-  if (!(st = needNumber(v, "stage", "retries", &d)).ok()) return st;
-  out->retries = static_cast<int>(d);
-  if (!(st = needNumber(v, "stage", "recoveries", &d)).ok()) return st;
-  out->recoveries = static_cast<int>(d);
-  if (!(st = needNumber(v, "stage", "rollbacks", &d)).ok()) return st;
-  out->rollbacks = static_cast<int>(d);
-  if (!(st = needNumber(v, "stage", "snapshots", &d)).ok()) return st;
-  out->snapshots = static_cast<int>(d);
-  return Status::okStatus();
+  return err;
+}
+std::string fromJson(const JsonValue& j, Stats& stats) {
+  if (!j.isObject()) return " must be an object";
+  for (const auto& [k, val] : j.members()) {
+    if (!val.isNumber()) return "." + k + " must be a number";
+    stats.emplace_back(k, val.asNumber());
+  }
+  return {};
 }
 
-std::string renderNumber(double v) {
-  char buf[40];
-  if (v == std::floor(v) && std::fabs(v) < 9.007199254740992e15) {
-    std::snprintf(buf, sizeof buf, "%.0f", v);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-  }
-  return buf;
+template <class S, class St>
+void stageFields(S& s, St& st) {
+  using enum Tier;
+  s.field("stage", kPrecondition, st.stage);
+  s.field("ran", kExact, st.ran);
+  s.field("wall_ms", kWall, st.wallMs);
+  s.field("iterations", kExact, st.iterations);
+  s.field("hpwl", kRecorded, st.hpwl);  // gated as hpwl_bits
+  s.field("hpwl_bits", kExact, Hex{st.hpwlBits});
+  s.field("overflow", kExact, st.overflow);
+  s.field("retries", kExact, st.retries);
+  s.field("recoveries", kExact, st.recoveries);
+  s.field("rollbacks", kExact, st.rollbacks);
+  s.field("snapshots", kRecorded, st.snapshots);
 }
+
+template <class S, class R>
+void recordFields(S& s, R& r) {
+  using enum Tier;
+  s.field("schema_version", kPrecondition, Version{r.schemaVersion});
+  s.field("name", kRecorded, r.name);
+  s.field("fingerprint", kPrecondition, Hex{r.fingerprint});
+  s.field("seed", kPrecondition, r.seed);
+  s.field("threads", kPrecondition, r.threads);
+  s.field("supervised", kPrecondition, r.supervised);
+  s.array("stages", r.stages, [](S& e, auto& st) { stageFields(e, st); });
+  s.object("final", [&r](S& f) {
+    f.field("hpwl", kRecorded, r.finalHpwl);  // gated as hpwl_bits
+    f.field("hpwl_bits", kExact, Hex{r.finalHpwlBits});
+    f.field("scaled_hpwl", kExact, r.finalScaledHpwl);
+    f.field("overflow", kExact, r.finalOverflow);
+    f.field("legal", kExact, r.legal);
+  });
+  s.object("wall", [&r](S& w) {
+    w.field("total_seconds", kWall, r.totalSeconds);
+  });
+  // Resource figures move legitimately with unrelated refactors.
+  s.object("resources", [&r](S& res) {
+    res.field("peak_bytes", kRecorded, r.peakBytes);
+    res.field("arena_growth_events", kRecorded, r.arenaGrowthEvents);
+    res.field("snapshots_written", kRecorded, r.snapshotsWritten);
+  });
+  s.field("stats", kRecorded, r.stats);
+  s.field("status", kExact, r.status);
+}
+
+/// Appends each listed field to `obj`, in list order.
+struct Writer {
+  JsonValue obj = JsonValue::object();
+
+  template <class T>
+  void field(const char* key, Tier, const T& v) {
+    obj.set(key, toJson(v));
+  }
+  template <class F>
+  void object(const char* key, F&& fields) {
+    Writer sub;
+    fields(sub);
+    obj.set(key, std::move(sub.obj));
+  }
+  template <class E, class F>
+  void array(const char* key, const std::vector<E>& items, F&& fields) {
+    JsonValue arr = JsonValue::array();
+    for (const E& e : items) {
+      Writer sub;
+      fields(sub, e);
+      arr.push(std::move(sub.obj));
+    }
+    obj.set(key, std::move(arr));
+  }
+};
+
+/// Reads each listed field out of `obj`. The first missing, wrong-kind or
+/// unlisted member sets `st` to a kInvalidInput naming it, and the walk
+/// reads nothing after that. Unlisted members are looked for once the
+/// object's list is done, so the schema version, listed first, is checked
+/// before any other key.
+struct Reader {
+  const JsonValue& obj;
+  std::string path;
+  Status& st;
+  std::vector<std::string_view> listed;
+
+  template <class F>
+  static void walk(const JsonValue& obj, std::string path, Status& st,
+                   F&& fields) {
+    if (!obj.isObject()) {
+      st = Status::invalidInput(path + " must be an object");
+      return;
+    }
+    Reader r{obj, std::move(path), st, {}};
+    fields(r);
+    for (const auto& [k, unused] : obj.members()) {
+      (void)unused;
+      if (st.ok() &&
+          std::find(r.listed.begin(), r.listed.end(), k) == r.listed.end()) {
+        st = Status::invalidInput(r.path + ": unknown field \"" + k + "\"");
+      }
+    }
+  }
+
+  const JsonValue* member(const char* key) {
+    if (!st.ok()) return nullptr;
+    listed.emplace_back(key);
+    const JsonValue* j = obj.find(key);
+    if (j == nullptr) fail(path + ": missing field \"" + key + "\"");
+    return j;
+  }
+  void fail(std::string what) { st = Status::invalidInput(std::move(what)); }
+
+  template <class T>
+  void field(const char* key, Tier, T&& v) {
+    const JsonValue* j = member(key);
+    if (j == nullptr) return;
+    const std::string err = fromJson(*j, v);
+    if (!err.empty()) fail(path + "." + key + err);
+  }
+  template <class F>
+  void object(const char* key, F&& fields) {
+    const JsonValue* j = member(key);
+    if (j != nullptr) walk(*j, path + "." + key, st, fields);
+  }
+  template <class E, class F>
+  void array(const char* key, std::vector<E>& items, F&& fields) {
+    const JsonValue* j = member(key);
+    if (j == nullptr) return;
+    if (!j->isArray()) return fail(path + "." + key + " must be an array");
+    items.resize(j->items().size());
+    for (std::size_t i = 0; i < items.size() && st.ok(); ++i) {
+      walk(j->items()[i], path + "." + key + "[" + std::to_string(i) + "]",
+           st, [&](Reader& e) { fields(e, items[i]); });
+    }
+  }
+};
 
 }  // namespace
 
 JsonValue runRecordToJson(const RunRecord& rec) {
-  JsonValue v = JsonValue::object();
-  v.set("schema_version", num(rec.schemaVersion));
-  v.set("name", JsonValue::str(rec.name));
-  v.set("fingerprint", JsonValue::str(hexBits64(rec.fingerprint)));
-  v.set("seed", num(static_cast<double>(rec.seed)));
-  v.set("threads", num(rec.threads));
-  v.set("supervised", JsonValue::boolean(rec.supervised));
-
-  JsonValue stages = JsonValue::array();
-  for (const StageRecord& s : rec.stages) stages.push(stageToJson(s));
-  v.set("stages", std::move(stages));
-
-  JsonValue fin = JsonValue::object();
-  fin.set("hpwl", num(rec.finalHpwl));
-  fin.set("hpwl_bits", JsonValue::str(hexBits64(rec.finalHpwlBits)));
-  fin.set("scaled_hpwl", num(rec.finalScaledHpwl));
-  fin.set("overflow", num(rec.finalOverflow));
-  fin.set("legal", JsonValue::boolean(rec.legal));
-  v.set("final", std::move(fin));
-
-  JsonValue wall = JsonValue::object();
-  wall.set("total_seconds", num(rec.totalSeconds));
-  v.set("wall", std::move(wall));
-
-  JsonValue res = JsonValue::object();
-  res.set("peak_bytes", num(static_cast<double>(rec.peakBytes)));
-  res.set("arena_growth_events", num(static_cast<double>(rec.arenaGrowthEvents)));
-  res.set("snapshots_written", num(rec.snapshotsWritten));
-  v.set("resources", std::move(res));
-
-  JsonValue stats = JsonValue::object();
-  for (const auto& [k, val] : rec.stats) stats.set(k, num(val));
-  v.set("stats", std::move(stats));
-
-  v.set("status", JsonValue::str(rec.status));
-  return v;
+  Writer w;
+  recordFields(w, rec);
+  return std::move(w.obj);
 }
 
 Status runRecordFromJson(const JsonValue& v, RunRecord* out) {
-  if (!v.isObject()) {
-    return Status::invalidInput("record must be a JSON object");
-  }
-  Status st = checkKeys(v, "record",
-                        {"schema_version", "name", "fingerprint", "seed",
-                         "threads", "supervised", "stages", "final", "wall",
-                         "resources", "stats", "status"});
-  if (!st.ok()) return st;
   *out = RunRecord{};
-  double d = 0;
-  if (!(st = needNumber(v, "record", "schema_version", &d)).ok()) return st;
-  out->schemaVersion = static_cast<int>(d);
-  if (out->schemaVersion != RunRecord::kSchemaVersion) {
-    return Status::invalidInput(
-        "record.schema_version " + std::to_string(out->schemaVersion) +
-        " unsupported (expected " + std::to_string(RunRecord::kSchemaVersion) +
-        ")");
-  }
-  if (!(st = needString(v, "record", "name", &out->name)).ok()) return st;
-  if (!(st = needBits(v, "record", "fingerprint", &out->fingerprint)).ok()) {
-    return st;
-  }
-  if (!(st = needNumber(v, "record", "seed", &d)).ok()) return st;
-  out->seed = static_cast<std::uint64_t>(d);
-  if (!(st = needNumber(v, "record", "threads", &d)).ok()) return st;
-  out->threads = static_cast<int>(d);
-  if (!(st = needBool(v, "record", "supervised", &out->supervised)).ok()) {
-    return st;
-  }
-
-  const JsonValue* stages = v.find("stages");
-  if (stages == nullptr || !stages->isArray()) {
-    return Status::invalidInput("record.stages must be an array");
-  }
-  for (const JsonValue& e : stages->items()) {
-    StageRecord sr;
-    st = stageFromJson(e, &sr);
-    if (!st.ok()) return st;
-    out->stages.push_back(std::move(sr));
-  }
-
-  const JsonValue* fin = v.find("final");
-  if (fin == nullptr || !fin->isObject()) {
-    return Status::invalidInput("record.final must be an object");
-  }
-  st = checkKeys(*fin, "record.final",
-                 {"hpwl", "hpwl_bits", "scaled_hpwl", "overflow", "legal"});
-  if (!st.ok()) return st;
-  if (!(st = needNumber(*fin, "final", "hpwl", &out->finalHpwl)).ok()) {
-    return st;
-  }
-  if (!(st = needBits(*fin, "final", "hpwl_bits", &out->finalHpwlBits)).ok()) {
-    return st;
-  }
-  if (!(st = needNumber(*fin, "final", "scaled_hpwl", &out->finalScaledHpwl))
-           .ok()) {
-    return st;
-  }
-  if (!(st = needNumber(*fin, "final", "overflow", &out->finalOverflow)).ok()) {
-    return st;
-  }
-  if (!(st = needBool(*fin, "final", "legal", &out->legal)).ok()) return st;
-
-  const JsonValue* wall = v.find("wall");
-  if (wall == nullptr || !wall->isObject()) {
-    return Status::invalidInput("record.wall must be an object");
-  }
-  st = checkKeys(*wall, "record.wall", {"total_seconds"});
-  if (!st.ok()) return st;
-  if (!(st = needNumber(*wall, "wall", "total_seconds", &out->totalSeconds))
-           .ok()) {
-    return st;
-  }
-
-  const JsonValue* res = v.find("resources");
-  if (res == nullptr || !res->isObject()) {
-    return Status::invalidInput("record.resources must be an object");
-  }
-  st = checkKeys(*res, "record.resources",
-                 {"peak_bytes", "arena_growth_events", "snapshots_written"});
-  if (!st.ok()) return st;
-  if (!(st = needNumber(*res, "resources", "peak_bytes", &d)).ok()) return st;
-  out->peakBytes = static_cast<std::uint64_t>(d);
-  if (!(st = needNumber(*res, "resources", "arena_growth_events", &d)).ok()) {
-    return st;
-  }
-  out->arenaGrowthEvents = static_cast<long>(d);
-  if (!(st = needNumber(*res, "resources", "snapshots_written", &d)).ok()) {
-    return st;
-  }
-  out->snapshotsWritten = static_cast<int>(d);
-
-  const JsonValue* stats = v.find("stats");
-  if (stats == nullptr || !stats->isObject()) {
-    return Status::invalidInput("record.stats must be an object");
-  }
-  for (const auto& [k, val] : stats->members()) {
-    if (!val.isNumber()) {
-      return Status::invalidInput("record.stats." + k + " must be a number");
-    }
-    out->stats.emplace_back(k, val.asNumber());
-  }
-
-  if (!(st = needString(v, "record", "status", &out->status)).ok()) return st;
-  return Status::okStatus();
+  Status st;
+  Reader::walk(v, "record", st, [out](Reader& r) { recordFields(r, *out); });
+  return st;
 }
 
 std::string writeRunRecord(const RunRecord& rec) {
@@ -397,61 +370,51 @@ std::size_t pruneRecordFiles(const std::string& dir, const std::string& tool,
 
 namespace {
 
-struct Gate {
-  const RegressPolicy& policy;
-  RegressResult out;
+/// One gated field, as the writer emits it.
+struct Flat {
+  std::string name;  ///< e.g. "stages[mGP].hpwl_bits"
+  Tier tier;
+  std::string text;  ///< the written JSON value; compared for equality
+  double number;     ///< the written number (wall fields)
+};
 
-  void diff(std::string field, std::string base, std::string cand,
-            bool fatal = true) {
-    if (fatal) out.pass = false;
-    out.diffs.push_back(
-        {std::move(field), std::move(base), std::move(cand), fatal});
+/// Lists every gated field of a record, in schema order. Comparing the
+/// written form means a field the text cannot carry exactly (a seed above
+/// 2^53) compares equal between a record and its parsed copy.
+struct Flattener {
+  std::vector<Flat>& out;
+  std::string prefix;
+
+  template <class T>
+  void field(const char* key, Tier tier, const T& v) {
+    if (tier == Tier::kRecorded) return;
+    const JsonValue j = toJson(v);
+    out.push_back({prefix + key, tier, writeJson(j), j.asNumber()});
   }
-
-  /// Bit-exact double compare rendered as value plus bit pattern, so a
-  /// last-ulp drift is visible in the report.
-  void exactDouble(const std::string& field, double base, double cand) {
-    if (doubleBits(base) == doubleBits(cand)) return;
-    diff(field, renderNumber(base) + " (" + hexBits64(doubleBits(base)) + ")",
-         renderNumber(cand) + " (" + hexBits64(doubleBits(cand)) + ")");
+  template <class F>
+  void object(const char* key, F&& fields) {
+    Flattener sub{out, prefix + key + "."};
+    fields(sub);
   }
-
-  void exactInt(const std::string& field, long base, long cand) {
-    if (base == cand) return;
-    diff(field, std::to_string(base), std::to_string(cand));
-  }
-
-  void exactBits(const std::string& field, std::uint64_t base,
-                 std::uint64_t cand) {
-    if (base == cand) return;
-    diff(field,
-         hexBits64(base) + " (" + renderNumber(bitsToDouble(base)) + ")",
-         hexBits64(cand) + " (" + renderNumber(bitsToDouble(cand)) + ")");
-  }
-
-  void exactStr(const std::string& field, const std::string& base,
-                const std::string& cand) {
-    if (base == cand) return;
-    diff(field, base, cand);
-  }
-
-  void exactBool(const std::string& field, bool base, bool cand) {
-    if (base == cand) return;
-    diff(field, base ? "true" : "false", cand ? "true" : "false");
-  }
-
-  /// Wall-clock gate: median candidate against the banded baseline.
-  /// One-sided (faster always passes) and floored below minWallMs.
-  void wall(const std::string& field, double baseMs, double medianMs) {
-    if (!policy.checkWall) return;
-    if (baseMs < policy.minWallMs) return;
-    const double limit = baseMs * (1.0 + policy.wallBandFrac);
-    if (medianMs <= limit) return;
-    char msg[96];
-    std::snprintf(msg, sizeof msg, "%.3f (limit %.3f)", medianMs, limit);
-    diff(field, renderNumber(baseMs), msg);
+  /// Stage rows are named by their stage; their count is a precondition.
+  template <class E, class F>
+  void array(const char* key, const std::vector<E>& items, F&& fields) {
+    out.push_back({prefix + key + ".count", Tier::kPrecondition,
+                   std::to_string(items.size()), 0.0});
+    for (const E& e : items) {
+      Flattener sub{out, prefix + key + "[" + e.stage + "]."};
+      fields(sub, e);
+    }
   }
 };
+
+std::vector<Flat> flatten(const RunRecord& rec, Tier tier) {
+  std::vector<Flat> all;
+  Flattener f{all, ""};
+  recordFields(f, rec);
+  std::erase_if(all, [tier](const Flat& x) { return x.tier != tier; });
+  return all;
+}
 
 double median(std::vector<double> v) {
   std::sort(v.begin(), v.end());
@@ -459,49 +422,51 @@ double median(std::vector<double> v) {
   return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
 }
 
-/// Compares every deterministic (non-wall) field of two records. `where`
-/// prefixes the field names, so the same walk serves both baseline-vs-
-/// candidate and candidate-vs-candidate consistency checks.
-void compareDeterministic(Gate& g, const std::string& where,
-                          const RunRecord& base, const RunRecord& cand) {
-  g.exactStr(where + "status", base.status, cand.status);
-  g.exactBits(where + "final.hpwl_bits", base.finalHpwlBits,
-              cand.finalHpwlBits);
-  g.exactDouble(where + "final.scaled_hpwl", base.finalScaledHpwl,
-                cand.finalScaledHpwl);
-  g.exactDouble(where + "final.overflow", base.finalOverflow,
-                cand.finalOverflow);
-  g.exactBool(where + "final.legal", base.legal, cand.legal);
-  const std::size_t n = std::min(base.stages.size(), cand.stages.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    const StageRecord& b = base.stages[i];
-    const StageRecord& c = cand.stages[i];
-    const std::string p = where + "stages[" + b.stage + "].";
-    g.exactBool(p + "ran", b.ran, c.ran);
-    g.exactInt(p + "iterations", b.iterations, c.iterations);
-    g.exactBits(p + "hpwl_bits", b.hpwlBits, c.hpwlBits);
-    g.exactDouble(p + "overflow", b.overflow, c.overflow);
-    g.exactInt(p + "retries", b.retries, c.retries);
-    g.exactInt(p + "recoveries", b.recoveries, c.recoveries);
-    g.exactInt(p + "rollbacks", b.rollbacks, c.rollbacks);
+struct Gate {
+  const RegressPolicy& policy;
+  RegressResult out;
+
+  void diff(std::string field, std::string base, std::string cand) {
+    out.pass = false;
+    out.diffs.push_back({std::move(field), std::move(base), std::move(cand)});
   }
-}
+
+  /// Written-form equality of two field lists of the same tier. `where`
+  /// prefixes the names, so the same walk serves baseline-vs-candidate and
+  /// candidate-vs-candidate checks.
+  void exact(const std::string& where, const std::vector<Flat>& base,
+             const std::vector<Flat>& cand) {
+    for (std::size_t i = 0; i < std::min(base.size(), cand.size()); ++i) {
+      if (base[i].text != cand[i].text) {
+        diff(where + base[i].name, base[i].text, cand[i].text);
+      }
+    }
+  }
+
+  /// Wall-clock gate: median candidate against the banded baseline.
+  /// One-sided (faster always passes) and floored below minWallMs; a
+  /// field's unit is its key's suffix (_ms or _seconds).
+  void wall(const Flat& base, double med) {
+    if (!policy.checkWall) return;
+    const double toMs = base.name.ends_with("_seconds") ? 1000.0 : 1.0;
+    if (base.number * toMs < policy.minWallMs) return;
+    const double limit = base.number * (1.0 + policy.wallBandFrac);
+    if (med <= limit) return;
+    char msg[96];
+    std::snprintf(msg, sizeof msg, "%.6g (limit %.6g)", med, limit);
+    diff(base.name, base.text, msg);
+  }
+};
 
 }  // namespace
 
 std::string RegressResult::summary() const {
-  std::string s;
-  if (pass) {
-    s = diffs.empty() ? "PASS: all gated fields match\n"
-                      : "PASS (with informational diffs):\n";
-  } else {
-    s = "FAIL: " + std::to_string(diffs.size()) + " field diff(s)\n";
-  }
+  std::string s = pass ? "PASS: all gated fields match\n"
+                       : "FAIL: " + std::to_string(diffs.size()) +
+                             " field diff(s)\n";
   for (const RegressDiff& d : diffs) {
-    s += "  ";
-    s += d.fatal ? "[fail] " : "[info] ";
-    s += d.field + ": baseline=" + d.baseline + " candidate=" + d.candidate +
-         "\n";
+    s += "  " + d.field + ": baseline=" + d.baseline +
+         " candidate=" + d.candidate + "\n";
   }
   return s;
 }
@@ -517,48 +482,35 @@ RegressResult compareRunRecords(const RunRecord& baseline,
 
   // Preconditions: a record from a different input/configuration is not a
   // regression, it is incomparable — fail loudly before any value check.
-  const RunRecord& first = candidates.front();
-  g.exactInt("schema_version", baseline.schemaVersion, first.schemaVersion);
-  g.exactBits("fingerprint", baseline.fingerprint, first.fingerprint);
-  g.exactInt("seed", static_cast<long>(baseline.seed),
-             static_cast<long>(first.seed));
-  g.exactInt("threads", baseline.threads, first.threads);
-  g.exactBool("supervised", baseline.supervised, first.supervised);
-  g.exactInt("stages.count", static_cast<long>(baseline.stages.size()),
-             static_cast<long>(first.stages.size()));
-  const std::size_t nStages =
-      std::min(baseline.stages.size(), first.stages.size());
-  for (std::size_t i = 0; i < nStages; ++i) {
-    g.exactStr("stages[" + std::to_string(i) + "].stage",
-               baseline.stages[i].stage, first.stages[i].stage);
+  // Every candidate is held to them, so past this point all field lists
+  // line up entry for entry.
+  const std::vector<Flat> basePre = flatten(baseline, Tier::kPrecondition);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    g.exact(i == 0 ? "" : "run[" + std::to_string(i) + "]: ", basePre,
+            flatten(candidates[i], Tier::kPrecondition));
   }
   if (!g.out.pass) return std::move(g.out);
 
   // Determinism contract: every candidate identical to the first, then the
   // first identical to the baseline. A candidate-vs-candidate mismatch is
   // a determinism break, reported with its own prefix.
+  const std::vector<Flat> first = flatten(candidates[0], Tier::kExact);
   for (std::size_t i = 1; i < candidates.size(); ++i) {
-    compareDeterministic(g, "run[" + std::to_string(i) + "] vs run[0]: ",
-                         first, candidates[i]);
+    g.exact("run[" + std::to_string(i) + "] vs run[0]: ", first,
+            flatten(candidates[i], Tier::kExact));
   }
-  compareDeterministic(g, "", baseline, first);
+  g.exact("", flatten(baseline, Tier::kExact), first);
 
   // Wall clock: median across candidates against the banded baseline.
-  for (std::size_t i = 0; i < nStages; ++i) {
-    std::vector<double> walls;
-    walls.reserve(candidates.size());
-    for (const RunRecord& c : candidates) walls.push_back(c.stages[i].wallMs);
-    g.wall("stages[" + baseline.stages[i].stage + "].wall_ms",
-           baseline.stages[i].wallMs, median(walls));
+  const std::vector<Flat> baseWall = flatten(baseline, Tier::kWall);
+  std::vector<std::vector<Flat>> candWall;
+  for (const RunRecord& c : candidates) {
+    candWall.push_back(flatten(c, Tier::kWall));
   }
-  {
-    std::vector<double> totals;
-    totals.reserve(candidates.size());
-    for (const RunRecord& c : candidates) {
-      totals.push_back(c.totalSeconds * 1000.0);
-    }
-    g.wall("wall.total_seconds(ms)", baseline.totalSeconds * 1000.0,
-           median(totals));
+  for (std::size_t k = 0; k < baseWall.size(); ++k) {
+    std::vector<double> walls;
+    for (const auto& cw : candWall) walls.push_back(cw[k].number);
+    g.wall(baseWall[k], median(std::move(walls)));
   }
   return std::move(g.out);
 }

@@ -58,7 +58,10 @@ struct StageRecord {
   int retries = 0;              ///< supervisor re-attempts (attempts - 1)
   int recoveries = 0;           ///< in-stage numerical recoveries
   int rollbacks = 0;            ///< result-discard restores
-  int snapshots = 0;            ///< boundary snapshots written after stage
+  /// Snapshots whose cursor is this stage: the boundary snapshot that leads
+  /// into it and any taken inside it. The last boundary snapshot (cursor
+  /// "done") is on no row.
+  int snapshots = 0;
 };
 
 struct RunRecord {
@@ -67,7 +70,7 @@ struct RunRecord {
   int schemaVersion = kSchemaVersion;
   std::string name;             ///< design / job name
   std::uint64_t fingerprint = 0;  ///< netlistFingerprint() of the input
-  std::uint64_t seed = 0;
+  std::uint64_t seed = 0;       ///< written as a JSON number (lossy > 2^53)
   int threads = 1;
   bool supervised = false;
   std::vector<StageRecord> stages;
@@ -91,9 +94,10 @@ struct RunRecord {
 };
 
 /// Serialization. toJson always emits every schema field (skipped stages
-/// included), so fromJson can be strict: a missing or unknown field is a
-/// typed kInvalidInput naming the field — schema drift is caught at parse
-/// time, before the gate ever compares values.
+/// included), so fromJson can be strict: a missing, wrong-kind or unknown
+/// field is a typed kInvalidInput naming the field — schema drift is caught
+/// at parse time, before the gate ever compares values. `schema_version` is
+/// checked before any other key.
 JsonValue runRecordToJson(const RunRecord& rec);
 Status runRecordFromJson(const JsonValue& v, RunRecord* out);
 std::string writeRunRecord(const RunRecord& rec);
@@ -135,7 +139,6 @@ struct RegressDiff {
   std::string field;      ///< e.g. "stages[mGP].hpwl_bits"
   std::string baseline;   ///< rendered baseline value
   std::string candidate;  ///< rendered candidate value
-  bool fatal = true;      ///< false: informational only
 };
 
 struct RegressResult {
@@ -145,12 +148,15 @@ struct RegressResult {
   [[nodiscard]] std::string summary() const;
 };
 
-/// Diffs candidate records against a baseline. Preconditions (fingerprint,
-/// seed, threads, schema version, stage list) must match or the result is
-/// an immediate fatal "incomparable" diff. Deterministic fields must be
-/// identical across *all* candidates and equal to the baseline bit-for-bit;
-/// wall-clock fields compare median(candidates) against the banded
-/// baseline. `candidates` must be non-empty.
+/// Diffs candidate records against a baseline. Every candidate's
+/// preconditions (fingerprint, seed, threads, schema version, stage list)
+/// must match the baseline's, or the result is an immediate "incomparable"
+/// failure. Deterministic fields must be identical across *all* candidates
+/// and equal to the baseline; wall-clock fields compare median(candidates)
+/// against the banded baseline. Each field is compared in the form the
+/// JSON writer emits, so a record and its parsed copy always agree. Which
+/// field falls in which tier is listed next to its key in run_record.cpp.
+/// `candidates` must be non-empty.
 RegressResult compareRunRecords(const RunRecord& baseline,
                                 const std::vector<RunRecord>& candidates,
                                 const RegressPolicy& policy = {});

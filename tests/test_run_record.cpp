@@ -13,6 +13,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "eplace/session.h"
@@ -148,29 +149,81 @@ TEST_F(RunRecordTest, BitPatternsSurviveTextRoundTrip) {
   EXPECT_NE(back.value().finalHpwlBits, doubleBits(0.0));
 }
 
-TEST_F(RunRecordTest, MissingFieldIsTypedError) {
-  const StatusOr<JsonValue> parsed =
-      parseJson(writeRunRecord(sampleRecord()));
-  ASSERT_TRUE(parsed.ok());
-  // Rebuild the top-level object without "seed".
-  JsonValue mutated = JsonValue::object();
-  for (const auto& [key, value] : parsed.value().members()) {
-    if (key != "seed") mutated.set(key, value);
+/// The sample record as a JSON tree, for tests that mutate it below the
+/// writer.
+JsonValue sampleJson() {
+  StatusOr<JsonValue> parsed = parseJson(writeRunRecord(sampleRecord()));
+  EXPECT_TRUE(parsed.ok());
+  return std::move(parsed.value());
+}
+
+/// `obj` rebuilt without member `drop`, in the same member order.
+JsonValue without(const JsonValue& obj, std::string_view drop) {
+  JsonValue out = JsonValue::object();
+  for (const auto& [key, value] : obj.members()) {
+    if (key != drop) out.set(key, value);
   }
+  return out;
+}
+
+/// `rec` with its top-level member `key` replaced by `value`.
+JsonValue withMember(JsonValue rec, const std::string& key, JsonValue value) {
+  rec.set(key, std::move(value));
+  return rec;
+}
+
+void expectRejectedNaming(const JsonValue& v, const std::string& key) {
   RunRecord out;
-  const Status st = runRecordFromJson(mutated, &out);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidInput);
-  EXPECT_NE(st.toString().find("seed"), std::string::npos) << st.toString();
+  const Status st = runRecordFromJson(v, &out);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidInput) << key;
+  EXPECT_NE(st.toString().find(key), std::string::npos) << st.toString();
+}
+
+TEST_F(RunRecordTest, MissingFieldIsTypedError) {
+  const JsonValue rec = sampleJson();
+  expectRejectedNaming(without(rec, "seed"), "seed");
+
+  // Below the top level: a stage entry and the final block are as strict.
+  JsonValue stages = JsonValue::array();
+  for (const JsonValue& e : rec.find("stages")->items()) stages.push(e);
+  stages.push(without(stages.items().front(), "rollbacks"));
+  expectRejectedNaming(withMember(rec, "stages", stages), "rollbacks");
+  expectRejectedNaming(
+      withMember(rec, "final", without(*rec.find("final"), "scaled_hpwl")),
+      "scaled_hpwl");
+
+  // A member of the wrong kind is as absent as a missing one.
+  JsonValue fin = *rec.find("final");
+  fin.set("legal", JsonValue::number(1));
+  expectRejectedNaming(withMember(rec, "final", fin), "legal");
+  fin = *rec.find("final");
+  fin.set("hpwl_bits", JsonValue::str("0x12"));
+  expectRejectedNaming(withMember(rec, "final", fin), "hpwl_bits");
+  // So is an integer the field's type cannot hold.
+  expectRejectedNaming(withMember(rec, "threads", JsonValue::number(1e30)),
+                       "threads");
 }
 
 TEST_F(RunRecordTest, UnknownFieldIsTypedError) {
-  StatusOr<JsonValue> parsed = parseJson(writeRunRecord(sampleRecord()));
-  ASSERT_TRUE(parsed.ok());
-  parsed.value().set("surprise", JsonValue::number(1));
+  const JsonValue rec = sampleJson();
+  expectRejectedNaming(withMember(rec, "surprise", JsonValue::number(1)),
+                       "surprise");
+  JsonValue res = *rec.find("resources");
+  res.set("swap_bytes", JsonValue::number(0));
+  expectRejectedNaming(withMember(rec, "resources", res), "swap_bytes");
+}
+
+TEST_F(RunRecordTest, SchemaVersionIsCheckedBeforeAnyOtherKey) {
+  // A newer record is rejected for its version, not for the first section
+  // this reader does not know, so the message names what actually differs.
+  JsonValue rec = sampleJson();
+  rec.set("schema_version", JsonValue::number(2));
+  rec.set("profile", JsonValue::array());
   RunRecord out;
-  const Status st = runRecordFromJson(parsed.value(), &out);
+  const Status st = runRecordFromJson(rec, &out);
   EXPECT_EQ(st.code(), StatusCode::kInvalidInput);
-  EXPECT_NE(st.toString().find("surprise"), std::string::npos)
+  EXPECT_NE(st.toString().find("schema_version 2 unsupported"),
+            std::string::npos)
       << st.toString();
 }
 
@@ -245,12 +298,17 @@ TEST_F(RunRecordTest, OneVsFourThreadsBitIdenticalQuality) {
 }
 
 TEST_F(RunRecordTest, SupervisedSessionRecordIsSchemaValid) {
-  SessionOptions so;
+  namespace fs = std::filesystem;
+  const fs::path snapDir =
+      fs::path(::testing::TempDir()) / "run_record_supervised_snaps";
+  fs::remove_all(snapDir);
+  SessionOptions so;  // default seed: its top bits do not fit a double
   so.name = "sup";
   so.threads = 2;
   so.supervised = true;
   so.flow.runDetail = false;
   so.flow.gp.maxIterations = 80;
+  so.sup.snapshotDir = snapDir.string();
   PlacerSession s(so);
   ASSERT_TRUE(s.adopt(smallCircuit(5)).ok());
   ASSERT_TRUE(s.place().ok());
@@ -264,6 +322,21 @@ TEST_F(RunRecordTest, SupervisedSessionRecordIsSchemaValid) {
   ASSERT_TRUE(back.ok()) << back.status().toString();
   EXPECT_EQ(back.value().finalHpwlBits, rec.finalHpwlBits);
   EXPECT_FALSE(rec.stats.empty());  // context stats registry dump rode along
+  // The gate compares what the record writes, so the parsed record and the
+  // one it was written from agree even where the text form is lossy.
+  const RegressResult res = compareRunRecords(back.value(), {rec});
+  EXPECT_TRUE(res.pass) << res.summary();
+
+  // A boundary snapshot counts on the stage it leads into; the last one
+  // (cursor "done") counts on no row.
+  ASSERT_FALSE(rec.stages.empty());
+  EXPECT_EQ(rec.stages.front().stage, "mIP");
+  EXPECT_EQ(rec.stages.front().snapshots, 0);
+  int rowSnapshots = 0;
+  for (const StageRecord& st : rec.stages) rowSnapshots += st.snapshots;
+  EXPECT_GT(rec.snapshotsWritten, 0);
+  EXPECT_EQ(rowSnapshots, rec.snapshotsWritten - 1);
+  fs::remove_all(snapDir);
 }
 
 // --- bench_results/ retention (pruneRecordFiles) ---------------------------

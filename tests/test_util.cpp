@@ -5,8 +5,10 @@
 #include <fstream>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "util/csv.h"
+#include "util/fault_injector.h"
 #include "util/geometry.h"
 #include "util/io.h"
 #include "util/rng.h"
@@ -219,6 +221,52 @@ TEST(Io, ListNumberedFilesSkipsNamesWhoseNumberDoesNotFit) {
   EXPECT_TRUE(
       io::listNumberedFiles((dir / "missing").string(), "f_", ".x", 9).empty());
   fs::remove_all(dir);
+}
+
+TEST(FaultSpec, ParsesEveryInjectFormAndRejectsTrailingGarbage) {
+  struct Good {
+    const char* arg;
+    const char* site;
+    FaultKind kind;
+    long tick;
+    int count;
+  };
+  const Good good[] = {
+      {"nesterov.grad=nan@40", "nesterov.grad", FaultKind::kNaN, 40, 1},
+      {"fft.forward=spike@3x2", "fft.forward", FaultKind::kSpike, 3, 2},
+      {"bookshelf.line=trunc@10x-1", "bookshelf.line", FaultKind::kTruncate,
+       10, -1},
+      {"io.fsync=error@0", "io.fsync", FaultKind::kError, 0, 1},
+  };
+  for (const Good& g : good) {
+    std::string site;
+    FaultSpec spec;
+    spec.magnitude = 7.0;
+    ASSERT_TRUE(parseFaultSpec(g.arg, &site, &spec)) << g.arg;
+    EXPECT_EQ(site, g.site);
+    EXPECT_EQ(spec.kind, g.kind) << g.arg;
+    EXPECT_EQ(spec.atTick, g.tick) << g.arg;
+    EXPECT_EQ(spec.count, g.count) << g.arg;
+    EXPECT_EQ(spec.magnitude, 7.0);  // not part of the flag
+  }
+  for (const char* bad :
+       {"", "nan@4", "site=nan", "=nan@4", "site@4=nan", "site=bogus@4",
+        "site=nan@", "site=nan@4O", "site=nan@abc", "site=nan@-1",
+        "site=nan@4x", "site=nan@4x2z", "site=nan@4x-2", "site=nan@ 4",
+        "site=nan@99999999999999999999"}) {
+    std::string site = "untouched";
+    FaultSpec spec;
+    EXPECT_FALSE(parseFaultSpec(bad, &site, &spec)) << bad;
+    EXPECT_EQ(site, "untouched") << bad;
+  }
+  for (const FaultKind k : {FaultKind::kNaN, FaultKind::kSpike,
+                            FaultKind::kTruncate, FaultKind::kError}) {
+    FaultKind back = FaultKind::kNaN;
+    ASSERT_TRUE(faultKindFromName(faultKindName(k), &back));
+    EXPECT_EQ(back, k);
+  }
+  FaultKind unused = FaultKind::kNaN;
+  EXPECT_FALSE(faultKindFromName("NaN", &unused));
 }
 
 }  // namespace
