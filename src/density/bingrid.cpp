@@ -49,6 +49,16 @@ std::size_t BinGrid::binY(double y) const {
       std::clamp<std::ptrdiff_t>(i, 0, static_cast<std::ptrdiff_t>(ny_) - 1));
 }
 
+std::int32_t BinGrid::packRowSpan(const Rect& r) const {
+  const Rect c = r.intersect(region_);
+  std::uint32_t y0 = 0xFFFF, y1 = 0;
+  if (!c.empty()) {
+    y0 = static_cast<std::uint32_t>(binY(c.ly));
+    y1 = static_cast<std::uint32_t>(binY(c.hy - 1e-12 * dy_));
+  }
+  return static_cast<std::int32_t>(y0 | y1 << 16);
+}
+
 void BinGrid::stamp(const Rect& r, double amount, std::span<double> map) const {
   stampRows(r, amount, map, 0, ny_);
 }

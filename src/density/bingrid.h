@@ -5,7 +5,9 @@
 // count (flat high-resolution grid, no coarsening).
 #pragma once
 
+#include <cassert>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -61,17 +63,26 @@ class BinGrid {
                  std::size_t rowBegin, std::size_t rowEnd) const;
 
   /// Deterministic parallel scatter of `n` rectangles into `map`.
-  /// `objFn(i, &r, &amount)` yields object i's footprint. The *output* is
-  /// partitioned: each thread owns a contiguous band of bin rows and scans
-  /// all objects, stamping only the slice inside its band. Every bin thus
-  /// accumulates contributions in object index order whatever the thread
-  /// count — bit-identical to the serial `for (i) stamp(...)` loop. The
-  /// extra per-thread object scan is cheap (a y-interval test) next to the
-  /// overlap arithmetic it skips. `pool == nullptr` runs serially.
+  /// `objFn(i, &r, &amount)` yields object i's footprint; it is called
+  /// concurrently, so it must be a pure function of i. The *output* is
+  /// partitioned, in two passes over the pool:
+  ///  1. element-wise over objects: clip each footprint once and record its
+  ///     bin-row span [y0, y1] in `rowSpans[i]` (n entries of caller
+  ///     scratch, two 16-bit rows packed per entry; see packRowSpan);
+  ///  2. over contiguous bands of bin rows, one per thread: walk the objects
+  ///     in index order, skip those whose span misses the band, and stamp
+  ///     the slice of the rest that falls inside it (stampRows).
+  /// Every bin thus accumulates contributions in object index order
+  /// whatever the thread count — bit-identical to the serial
+  /// `for (i) stamp(...)` loop. Only the row span is cached, 4 B per
+  /// object: phase 2 re-derives the footprint of the objects it stamps.
+  /// `pool == nullptr`, one thread, n < 64 or more than kMaxSpanRows rows
+  /// runs serially and leaves `rowSpans` untouched.
   template <typename ObjFn>
   void stampAll(std::size_t n, ObjFn&& objFn, std::span<double> map,
-                ThreadPool* pool) const {
-    if (pool == nullptr || pool->threads() == 1 || n < 64) {
+                ThreadPool* pool, std::span<std::int32_t> rowSpans) const {
+    if (pool == nullptr || pool->threads() == 1 || n < 64 ||
+        ny_ > kMaxSpanRows) {
       for (std::size_t i = 0; i < n; ++i) {
         Rect r;
         double amount = 0.0;
@@ -80,10 +91,22 @@ class BinGrid {
       }
       return;
     }
+    assert(rowSpans.size() >= n);
+    std::int32_t* spans = rowSpans.data();
+    pool->parallelFor(n, [&](std::size_t, std::size_t i0, std::size_t i1) {
+      for (std::size_t i = i0; i < i1; ++i) {
+        Rect r;
+        double amount = 0.0;
+        objFn(i, &r, &amount);
+        spans[i] = packRowSpan(r);
+      }
+    });
     pool->parallelFor(
         ny_,
         [&](std::size_t, std::size_t rowBegin, std::size_t rowEnd) {
           for (std::size_t i = 0; i < n; ++i) {
+            const auto s = static_cast<std::uint32_t>(spans[i]);
+            if ((s >> 16) < rowBegin || (s & 0xFFFFu) >= rowEnd) continue;
             Rect r;
             double amount = 0.0;
             objFn(i, &r, &amount);
@@ -94,6 +117,15 @@ class BinGrid {
   }
 
  private:
+  /// Row counts up to this fit the 16-bit halves of a packed row span.
+  static constexpr std::size_t kMaxSpanRows = 0xFFFF;
+
+  /// The bin rows [y0, y1] that stampRows touches for `r`, packed as
+  /// y0 | y1 << 16, from the same clip and binY arithmetic as stampRows —
+  /// so skipping a band the span misses never drops a contribution. An
+  /// empty clip packs y0 = 0xFFFF, y1 = 0, which misses every band.
+  [[nodiscard]] std::int32_t packRowSpan(const Rect& r) const;
+
   Rect region_;
   std::size_t nx_ = 0, ny_ = 0;
   double dx_ = 0.0, dy_ = 0.0;

@@ -26,13 +26,20 @@ ElectroDensity::ElectroDensity(const Rect& region, std::size_t nx,
       ovfGrid_(region, std::max<std::size_t>(16, nx / 4),
                std::max<std::size_t>(16, ny / 4)),
       rhoT_(targetDensity),
-      solver_(nx, ny, grid_.dx(), grid_.dy(), arena, faults) {
+      solver_(nx, ny, grid_.dx(), grid_.dy(), arena, faults),
+      arena_(arena) {
   fixedSolver_ = buf(arena, "den.fixedSolver", nx * ny);
   fixedExact_ = buf(arena, "den.fixedExact", ovfGrid_.numBins());
   staticCharge_ = buf(arena, "den.staticCharge", nx * ny);
   movCharge_ = buf(arena, "den.movCharge", nx * ny);
   rho_ = buf(arena, "den.rho", nx * ny);
   ovfScratch_ = buf(arena, "den.ovfScratch", ovfGrid_.numBins());
+}
+
+std::span<std::int32_t> ElectroDensity::rowSpans(std::size_t n) const {
+  if (arena_ != nullptr) return arena_->ints("den.rowSpans", n);
+  if (ownRowSpans_.size() < n) ownRowSpans_.resize(n);
+  return {ownRowSpans_.data(), n};
 }
 
 void ElectroDensity::stampFixed(const PlacementDB& db) {
@@ -92,7 +99,7 @@ void ElectroDensity::update(const ChargeView& charges, ThreadPool* pool) {
         *r = f.r;
         *amount = f.r.area() * f.scale;
       },
-      movCharge_, pool);
+      movCharge_, pool, rowSpans(charges.size()));
   const double invBinArea = 1.0 / grid_.binArea();
   auto mix = [&](std::size_t, std::size_t b0, std::size_t b1) {
     for (std::size_t b = b0; b < b1; ++b) {
@@ -106,14 +113,21 @@ void ElectroDensity::update(const ChargeView& charges, ThreadPool* pool) {
     mix(0, 0, rho_.size());
   }
   solver_.solve(rho_, pool);
+  energyStale_ = true;
+}
+
+double ElectroDensity::energy(ThreadPool* pool) {
+  if (!energyStale_) return energy_;
   // N(v) = sum_i q_i psi_i evaluated bin-wise from the stamped charge.
   double e = 0.0;
-  const auto psi = solver_.psi();
-  const double inv = invBinArea;
+  const auto psi = solver_.psi(pool);
+  const double inv = 1.0 / grid_.binArea();
   for (std::size_t b = 0; b < rho_.size(); ++b) {
     e += movCharge_[b] * inv * psi[b];
   }
   energy_ = e;
+  energyStale_ = false;
+  return energy_;
 }
 
 void ElectroDensity::gradient(const ChargeView& charges, std::span<double> gx,
@@ -190,7 +204,7 @@ double ElectroDensity::overflow(const ChargeView& movablesOnly,
                   movablesOnly.cx[i] + w * 0.5, movablesOnly.cy[i] + h * 0.5};
         *amount = r->area();
       },
-      area, pool);
+      area, pool, rowSpans(movablesOnly.size()));
   double totalMovable = 0.0;
   for (std::size_t i = 0; i < movablesOnly.size(); ++i) {
     totalMovable += movablesOnly.w[i] * movablesOnly.h[i];

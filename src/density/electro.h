@@ -25,6 +25,7 @@
 //    evaluation semantics.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -47,10 +48,11 @@ struct ChargeView {
 
 class ElectroDensity {
  public:
-  /// With `arena` non-null the per-bin maps are borrowed from it under
-  /// "den." keys, so a cGP-stage engine reuses the mGP stage's
-  /// allocations. At most one ElectroDensity may lease those keys at a
-  /// time (see placement_view.h); pass nullptr for owned storage.
+  /// With `arena` non-null the per-bin maps and the scatter's row spans
+  /// are borrowed from it under "den." keys, so a cGP-stage engine reuses
+  /// the mGP stage's allocations. At most one ElectroDensity may lease
+  /// those keys at a time (see placement_view.h); pass nullptr for owned
+  /// storage.
   /// `faults` (optional, borrowed) reaches the spectral solver's
   /// "fft.forward" fault site.
   ElectroDensity(const Rect& region, std::size_t nx, std::size_t ny,
@@ -70,15 +72,19 @@ class ElectroDensity {
   void stampStaticCharges(const ChargeView& charges);
   void clearStatic();
 
-  /// Stamp the movable charges and solve the Poisson system. After this,
-  /// energy(), gradient() and the field accessors are valid for `charges`.
+  /// Stamp the movable charges and solve the Poisson system for the
+  /// field. After this, gradient() and the field accessors are valid for
+  /// `charges`; energy() and potential() are computed on their first read.
   /// With a pool the scatter, the spectral solve and the per-bin maps run
   /// on the pool's threads; results are bit-identical for any thread count
   /// (deterministic scatter: BinGrid::stampAll).
   void update(const ChargeView& charges, ThreadPool* pool = nullptr);
 
-  /// Total potential energy of the movable charges, N(v).
-  [[nodiscard]] double energy() const { return energy_; }
+  /// Total potential energy of the movable charges at the last update(),
+  /// N(v). The first read after an update synthesizes psi (on `pool` when
+  /// given; bit-identical either way) and sums N serially; later reads
+  /// return the cached value. The optimizer never reads it.
+  [[nodiscard]] double energy(ThreadPool* pool = nullptr);
 
   /// Density gradient dN/d(cx,cy) for every charge: the charge times the
   /// field averaged over its (smoothed) footprint. Output spans must have
@@ -95,8 +101,11 @@ class ElectroDensity {
   [[nodiscard]] double targetDensity() const { return rhoT_; }
   /// Current total charge density per bin (occupancy units, incl. fixed).
   [[nodiscard]] std::span<const double> density() const { return rho_; }
-  [[nodiscard]] std::span<const double> potential() const {
-    return solver_.psi();
+  /// Potential psi per bin, synthesized on the first read after an
+  /// update (see PoissonSolver::psi).
+  [[nodiscard]] std::span<const double> potential(
+      ThreadPool* pool = nullptr) {
+    return solver_.psi(pool);
   }
   [[nodiscard]] std::span<const double> fieldX() const {
     return solver_.fieldX();
@@ -118,6 +127,11 @@ class ElectroDensity {
   /// was given, otherwise from owned storage.
   std::span<double> buf(ScratchArena* arena, const char* key, std::size_t n);
 
+  /// BinGrid::stampAll's row-span scratch for n objects: the arena's
+  /// "den.rowSpans" key, or owned storage. The solver grid and the overflow
+  /// grid share it because their stampAll calls never overlap.
+  std::span<std::int32_t> rowSpans(std::size_t n) const;
+
   BinGrid grid_;
   BinGrid ovfGrid_;  // coarser grid for the overflow metric (see bingrid.h)
   double rhoT_;
@@ -125,6 +139,8 @@ class ElectroDensity {
   // Backing store for the maps below when no arena was supplied. Inner
   // heap buffers are pointer-stable under outer growth, so spans hold.
   std::vector<std::vector<double>> own_;
+  mutable std::vector<std::int32_t> ownRowSpans_;
+  ScratchArena* arena_ = nullptr;  // "den.rowSpans" lease, when given
   std::span<double> fixedSolver_;  // rho_t-scaled fixed occupancy
   std::span<double> fixedExact_;   // exact fixed area per overflow bin
   std::span<double> staticCharge_; // pinned-movable charge (area) per bin
@@ -132,6 +148,7 @@ class ElectroDensity {
   std::span<double> rho_;          // total occupancy fed to the solver
   std::span<double> ovfScratch_;   // per-overflow-bin movable area scratch
   double energy_ = 0.0;
+  bool energyStale_ = false;  // update() ran since energy_ was summed
 };
 
 }  // namespace ep

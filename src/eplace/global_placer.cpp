@@ -86,7 +86,6 @@ struct GlobalPlacer::Engine {
 
   double gammaX = 1.0, gammaY = 1.0;
   double lambda = 0.0;
-  double smoothWl = 0.0;  // last W~ value
   double densitySeconds = 0.0;     // Fig. 7 split, summed over evalGrad
   double wirelengthSeconds = 0.0;
 
@@ -186,8 +185,10 @@ struct GlobalPlacer::Engine {
             std::span<const double>(h).subspan(0, nCells)};
   }
 
-  /// Objective + preconditioned gradient; `v` is [x..., y...].
-  double evalGrad(std::span<const double> v, std::span<double> grad) {
+  /// Preconditioned gradient; `v` is [x..., y...]. The objective
+  /// W + lambda N is never formed: the optimizer is value-free, and
+  /// leaving N(v) unread spares the solver its psi synthesis.
+  void evalGrad(std::span<const double> v, std::span<double> grad) {
     const auto x = v.subspan(0, nVars);
     const auto y = v.subspan(nVars, nVars);
     const Timer td;
@@ -196,7 +197,7 @@ struct GlobalPlacer::Engine {
     densitySeconds += td.seconds();
     const Timer tw;
     const VarView view{&db, objToVar, x, y};
-    smoothWl = wlEval.waGrad(view, gammaX, gammaY, gxW, gyW, pool);
+    wlEval.waGrad(view, gammaX, gammaY, gxW, gyW, pool);
     wirelengthSeconds += tw.seconds();
     auto assemble = [&](std::size_t, std::size_t i0, std::size_t i1) {
       for (std::size_t i = i0; i < i1; ++i) {
@@ -216,7 +217,6 @@ struct GlobalPlacer::Engine {
         inj.corrupt(grad, *f);
       }
     }
-    return smoothWl + lambda * density.energy();
   }
 
   void project(std::span<double> v) const {
@@ -238,7 +238,7 @@ struct GlobalPlacer::Engine {
     return NesterovOptimizer(
         2 * nVars,
         [this](std::span<const double> v, std::span<double> g) {
-          return evalGrad(v, g);
+          evalGrad(v, g);
         },
         ncfg, [this](std::span<double> v) { project(v); }, pool);
   }
@@ -559,7 +559,8 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
       // (Fig. 2 / Fig. 3 benches plot from the DB mid-run).
       eng.writeBack(opt.solution(), movables_);
       trace(GpIterTrace{iter, curHpwl, tau, eng.lambda, eng.gammaX,
-                        info.alpha, info.backtracks, eng.density.energy()});
+                        info.alpha, info.backtracks,
+                        eng.density.energy(eng.pool)});
     }
 
     if (tau <= cfg_.targetOverflow && iter >= kMinIterations) {

@@ -95,11 +95,19 @@ void PoissonSolver::solve(std::span<const double> rho, ThreadPool* pool) {
   std::fill(ey_.begin() + static_cast<std::ptrdiff_t>((ny - 1) * nx),
             ey_.end(), 0.0);
 
-  // Synthesis: the potential alone, then both field components batched
-  // pairwise into single complex transforms (fft/plan.h).
-  spectral2d(psi_, nx, ny, planX_, planY_, TrigOp::kCosSynth,
-             TrigOp::kCosSynth, pool, &ws_);
+  // Synthesis: both field components batched pairwise into single complex
+  // transforms (fft/plan.h). psi_ keeps its coefficients until psi().
   spectralFieldSynthesis2d(ex_, ey_, nx, ny, planX_, planY_, pool, &ws_);
+  psiSpectral_ = true;
+}
+
+std::span<const double> PoissonSolver::psi(ThreadPool* pool) {
+  if (psiSpectral_) {
+    spectral2d(psi_, nx_, ny_, planX_, planY_, TrigOp::kCosSynth,
+               TrigOp::kCosSynth, pool, &ws_);
+    psiSpectral_ = false;
+  }
+  return psi_;
 }
 
 }  // namespace ep

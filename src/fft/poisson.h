@@ -14,8 +14,9 @@
 // a_00 is dropped per the paper so that the equilibrium couples to an even
 // charge distribution inside R. The transforms run through SpectralPlan
 // (half-length real FFTs; the two field components share one complex
-// inverse per row/column pair — see fft/plan.h), so a solve costs the
-// equivalent of ~two complex 2-D FFTs instead of four.
+// inverse per row/column pair — see fft/plan.h). A solve is the analysis
+// plus the field pair; psi, which only the energy N(v) reads, is
+// synthesized from its kept coefficients on the first read after a solve.
 // The DCT orthogonality normalization and the 1/(w_u^2+w_v^2) kernel are
 // folded into one precomputed per-bin multiply.
 #pragma once
@@ -43,13 +44,17 @@ class PoissonSolver {
                 FaultInjector* faults = nullptr);
 
   /// Solve for the density grid `rho` (row-major, index iy*nx+ix).
-  /// After the call psi(), fieldX(), fieldY() hold the potential and its
-  /// gradient (xi = grad psi) sampled at bin centers. With a pool the
-  /// row/column transform batches run concurrently; results are
-  /// bit-identical for any thread count (see spectral2d).
+  /// After the call fieldX(), fieldY() hold the field xi = grad psi
+  /// sampled at bin centers, and psi's spectral coefficients are kept for
+  /// psi(). With a pool the row/column transform batches run concurrently;
+  /// results are bit-identical for any thread count (see spectral2d).
   void solve(std::span<const double> rho, ThreadPool* pool = nullptr);
 
-  [[nodiscard]] std::span<const double> psi() const { return psi_; }
+  /// The potential psi at bin centers. The first read after a solve
+  /// synthesizes it in place from the kept coefficients, on `pool` when
+  /// given (bit-identical for any pool; the pool is not kept, so it may
+  /// differ from solve's); later reads return it as is.
+  [[nodiscard]] std::span<const double> psi(ThreadPool* pool = nullptr);
   [[nodiscard]] std::span<const double> fieldX() const { return ex_; }
   [[nodiscard]] std::span<const double> fieldY() const { return ey_; }
 
@@ -66,6 +71,7 @@ class PoissonSolver {
   std::span<double> pre_;    // fx*fy / (w_u^2 + w_v^2), slot 0 == 0
   std::span<double> coeff_;  // a_uv scratch
   std::span<double> psi_, ex_, ey_;
+  bool psiSpectral_ = false;  // psi_ holds coefficients, not values
   Spectral2dWorkspace ws_;  // per-thread transform scratch
 };
 

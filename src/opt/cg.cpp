@@ -24,7 +24,7 @@ constexpr int kRestartInterval = 50;
 
 }  // namespace
 
-CgOptimizer::CgOptimizer(std::size_t dim, GradFn fn, CgConfig cfg,
+CgOptimizer::CgOptimizer(std::size_t dim, ValueGradFn fn, CgConfig cfg,
                          ProjectionFn projection)
     : dim_(dim),
       fn_(std::move(fn)),

@@ -5,12 +5,19 @@
 // reproduces via the lineSearchSeconds() counter.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
-#include "opt/nesterov.h"  // GradFn / ProjectionFn
+#include "opt/nesterov.h"  // ProjectionFn
 
 namespace ep {
+
+/// Evaluate the objective at `v`, writing its gradient into `grad`; returns
+/// the objective value, which the Armijo test needs (unlike Nesterov's
+/// value-free GradFn).
+using ValueGradFn =
+    std::function<double(std::span<const double> v, std::span<double> grad)>;
 
 struct CgConfig {
   double initialStep = 1.0;       ///< first iteration trial step
@@ -18,7 +25,7 @@ struct CgConfig {
 
 class CgOptimizer {
  public:
-  CgOptimizer(std::size_t dim, GradFn fn, CgConfig cfg = {},
+  CgOptimizer(std::size_t dim, ValueGradFn fn, CgConfig cfg = {},
               ProjectionFn projection = {});
 
   void initialize(std::span<const double> v0);
@@ -43,7 +50,7 @@ class CgOptimizer {
   double evaluate(std::span<const double> v, std::span<double> grad);
 
   std::size_t dim_;
-  GradFn fn_;
+  ValueGradFn fn_;
   CgConfig cfg_;
   ProjectionFn project_;
 

@@ -37,10 +37,10 @@ NesterovOptimizer::NesterovOptimizer(std::size_t dim, GradFn fn,
       vNext_(dim),
       gradNext_(dim) {}
 
-double NesterovOptimizer::evaluate(std::span<const double> v,
-                                   std::span<double> grad) {
+void NesterovOptimizer::evaluate(std::span<const double> v,
+                                 std::span<double> grad) {
   ++evals_;
-  return fn_(v, grad);
+  fn_(v, grad);
 }
 
 template <typename Body>
@@ -136,7 +136,6 @@ NesterovOptimizer::StepInfo NesterovOptimizer::step() {
   const double aNext = (1.0 + std::sqrt(4.0 * a_ * a_ + 1.0)) * 0.5;
   const double coef = cfg_.enableMomentum ? (a_ - 1.0) / aNext : 0.0;
 
-  double objective = 0.0;
   // Per-coordinate updates are element-wise, so running them on the pool is
   // bit-identical to the serial loops for any thread count.
   for (int bt = 0;; ++bt) {
@@ -153,7 +152,7 @@ NesterovOptimizer::StepInfo NesterovOptimizer::step() {
     });
     if (project_) project_(vNext_);
 
-    objective = evaluate(vNext_, gradNext_);
+    evaluate(vNext_, gradNext_);
 
     if (!cfg_.enableBacktracking || bt >= kMaxBacktracks) {
       info.backtracks = bt;
@@ -194,7 +193,6 @@ NesterovOptimizer::StepInfo NesterovOptimizer::step() {
   ++iter_;
 
   info.alpha = alpha;
-  info.objective = objective;
   info.gradNorm = norm2(curGrad_);
   return info;
 }

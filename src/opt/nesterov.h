@@ -15,9 +15,10 @@
 // and reused as grad(v_k) of the next iteration, so a pass on the first
 // check costs nothing extra (Sec. V-C).
 //
-// The evaluation callback returns the (optionally preconditioned) gradient;
-// preconditioning (Sec. V-D) is the caller's concern — this class only sees
-// the final descent vector. An optional projection keeps iterates feasible
+// The evaluation callback writes the (optionally preconditioned) gradient
+// and returns nothing: the method is value-free, as in the paper, so the
+// caller never has to compute the objective. Preconditioning (Sec. V-D) is
+// the caller's concern — this class only sees the final descent vector. An optional projection keeps iterates feasible
 // (the placer clamps object centers into the core region).
 #pragma once
 
@@ -29,11 +30,9 @@ namespace ep {
 
 class ThreadPool;
 
-/// Evaluate the objective at `v`, writing the (preconditioned) gradient into
-/// `grad`; returns the objective value (used for reporting only — the
-/// optimizer itself is value-free, as in the paper).
+/// Write the (preconditioned) gradient of the objective at `v` into `grad`.
 using GradFn =
-    std::function<double(std::span<const double> v, std::span<double> grad)>;
+    std::function<void(std::span<const double> v, std::span<double> grad)>;
 
 /// In-place projection of a candidate iterate onto the feasible box.
 using ProjectionFn = std::function<void(std::span<double> v)>;
@@ -65,7 +64,6 @@ class NesterovOptimizer {
   struct StepInfo {
     double alpha = 0.0;       ///< accepted steplength
     int backtracks = 0;       ///< Alg. 2 re-takes in this iteration
-    double objective = 0.0;   ///< f at the new lookahead point
     double gradNorm = 0.0;    ///< ||gradPre(v_{k+1})||
   };
 
@@ -106,7 +104,7 @@ class NesterovOptimizer {
   [[nodiscard]] int iteration() const { return iter_; }
 
  private:
-  double evaluate(std::span<const double> v, std::span<double> grad);
+  void evaluate(std::span<const double> v, std::span<double> grad);
 
   /// Runs body(i0, i1) over [0, dim) — on the pool when one was given,
   /// inline otherwise.

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <numeric>
 
 #include "density/bingrid.h"
 #include "density/electro.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace ep {
@@ -169,6 +173,88 @@ TEST(ElectroDensity, GradientMatchesFiniteDifferenceOfEnergy) {
   }
   ed.update(view);
   EXPECT_LT(ed.energy(), e0);
+}
+
+/// Overlapping charges, enough (n >= 64) for the banded scatter to run.
+ChargeView crowd(std::vector<double>& cx, std::vector<double>& cy,
+                 std::vector<double>& w, std::vector<double>& h,
+                 std::uint64_t seed) {
+  Rng rng(seed);
+  const std::size_t n = 400;
+  cx.resize(n);
+  cy.resize(n);
+  w.resize(n);
+  h.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    cx[i] = rng.uniform(4, 60);
+    cy[i] = rng.uniform(20, 44);
+    w[i] = rng.uniform(0.5, 5.0);
+    h[i] = rng.uniform(0.5, 3.0);
+  }
+  return {cx, cy, w, h};
+}
+
+bool sameBits(std::span<const double> a, std::span<const double> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// N(v) and psi are computed on their first read after update(). Reading
+// them after every update must not change what a later read returns.
+TEST(ElectroDensity, LazyEnergyAndPotentialMatchEagerReads) {
+  const std::size_t m = 64;
+  ThreadPool pool(4);
+  ElectroDensity eager({0, 0, 64, 64}, m, m, 1.0);
+  ElectroDensity lazy({0, 0, 64, 64}, m, m, 1.0);
+  eager.stampFixed(emptyDb());
+  lazy.stampFixed(emptyDb());
+  std::vector<double> ax, ay, aw, ah, bx, by, bw, bh;
+  const ChargeView first = crowd(ax, ay, aw, ah, 21);
+  const ChargeView second = crowd(bx, by, bw, bh, 22);
+
+  eager.update(first, &pool);
+  const double e1 = eager.energy();
+  const std::vector<double> psi1(eager.potential().begin(),
+                                 eager.potential().end());
+  eager.update(second, &pool);
+  const double e2 = eager.energy(&pool);
+  const std::vector<double> psi2(eager.potential(&pool).begin(),
+                                 eager.potential(&pool).end());
+
+  lazy.update(first, &pool);
+  lazy.update(second, &pool);
+  EXPECT_TRUE(sameBits(lazy.potential(), psi2));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(lazy.energy()),
+            std::bit_cast<std::uint64_t>(e2));
+  EXPECT_NE(e1, e2);
+  EXPECT_FALSE(sameBits(psi1, psi2));
+}
+
+TEST(ElectroDensity, EnergyUnchangedByGradientAndOverflow) {
+  const std::size_t m = 64;
+  ThreadPool pool(3);
+  ElectroDensity ed({0, 0, 64, 64}, m, m, 1.0);
+  ElectroDensity ref({0, 0, 64, 64}, m, m, 1.0);
+  ed.stampFixed(emptyDb());
+  ref.stampFixed(emptyDb());
+  std::vector<double> cx, cy, w, h;
+  const ChargeView view = crowd(cx, cy, w, h, 23);
+  std::vector<double> gx(cx.size()), gy(cx.size());
+
+  ref.update(view, &pool);
+  const double expected = ref.energy();
+
+  // Read before the other kernels run ...
+  ed.update(view, &pool);
+  ed.gradient(view, gx, gy, &pool);
+  (void)ed.overflow(view, &pool);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ed.energy(&pool)),
+            std::bit_cast<std::uint64_t>(expected));
+  // ... and again after them: the cached value stays put.
+  ed.gradient(view, gx, gy, &pool);
+  (void)ed.overflow(view, &pool);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(ed.energy()),
+            std::bit_cast<std::uint64_t>(expected));
 }
 
 TEST(ElectroDensity, SmoothingConservesCharge) {

@@ -2,9 +2,10 @@
 // SpectralPlan's trigonometric transforms against naive O(n^2) direct sums
 // accumulated in long double (an oracle that shares no factorization,
 // twiddle table or FP schedule with the plan), the WA wirelength gradient
-// against central finite differences, and the ThreadPool's
-// partitioning/reduction/error contracts, plus a sentinel that the build
-// keeps multiply and add separately rounded (no FMA contraction).
+// against central finite differences, BinGrid::stampAll against the serial
+// stamp loop, and the ThreadPool's partitioning/reduction/error contracts,
+// plus a sentinel that the build keeps multiply and add separately rounded
+// (no FMA contraction).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <limits>
 #include <numbers>
@@ -21,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "density/bingrid.h"
 #include "fft/plan.h"
 #include "gen/generator.h"
 #include "model/placement_view.h"
@@ -424,6 +427,113 @@ TEST(WirelengthProperties, EvaluatorBitIdenticalToFreeFunctions) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(eval.hpwl(view, p)),
               std::bit_cast<std::uint64_t>(hpwlRef));
   }
+}
+
+// ---------- BinGrid scatter contract ----------
+
+/// Footprints that reach every clipping branch of the banded scatter, then
+/// random overlapping rects so each bin sums many contributions (a changed
+/// accumulation order would show in the last bits).
+std::vector<Rect> scatterRects(const BinGrid& g, std::uint64_t seed) {
+  const Rect& reg = g.region();
+  const double dx = g.dx(), dy = g.dy();
+  const double w = reg.width(), h = reg.height();
+  const double mx = reg.lx + 0.37 * w, my = reg.ly + 0.41 * h;
+  std::vector<Rect> rs = {
+      // Fully outside, one per side.
+      {reg.lx - 5 * dx, my, reg.lx - dx, my + 2 * dy},
+      {reg.hx + dx, my, reg.hx + 4 * dx, my + 2 * dy},
+      {mx, reg.ly - 6 * dy, mx + 3 * dx, reg.ly - dy},
+      {mx, reg.hy + 0.5 * dy, mx + 3 * dx, reg.hy + 2 * dy},
+      // Partly outside, one per side.
+      {reg.lx - 2.5 * dx, my, reg.lx + 1.5 * dx, my + 3.2 * dy},
+      {reg.hx - 1.7 * dx, my, reg.hx + 2 * dx, my + 1.1 * dy},
+      {mx, reg.ly - 3.3 * dy, mx + 2.2 * dx, reg.ly + 2.6 * dy},
+      {mx, reg.hy - 1.4 * dy, mx + 2.2 * dx, reg.hy + 3 * dy},
+      // A macro wider and taller than the region.
+      {reg.lx + 0.3 * dx, reg.ly - dy, reg.lx + 0.6 * w, reg.hy + dy},
+      // Positive area that clips to zero height (touches the top and the
+      // bottom edge from outside).
+      {mx, reg.hy, mx + 2 * dx, reg.hy + 3 * dy},
+      {mx, reg.ly - 2 * dy, mx + 2 * dx, reg.ly},
+  };
+  // Edges exactly on every bin row boundary (so on every band boundary at
+  // any thread count), an ulp or a hair either side, and x edges on bin
+  // columns.
+  for (std::size_t k = 0; k <= g.ny(); ++k) {
+    const double b = reg.ly + static_cast<double>(k) * dy;
+    const double x0 = reg.lx + static_cast<double>(k % g.nx()) * dx;
+    rs.push_back({x0, b, x0 + 2 * dx, b + 1.5 * dy});
+    rs.push_back({x0 + 0.5 * dx, b - 2 * dy, x0 + dx, b});
+    rs.push_back({x0, std::nextafter(b, reg.hy), x0 + dx, b + dy});
+    rs.push_back({x0, b - 0.5 * dy, x0 + 3 * dx, std::nextafter(b, reg.ly)});
+    rs.push_back({x0, std::nextafter(b, reg.ly), x0 + dx, b + 0.5 * dy});
+    rs.push_back({x0 + dx, b - 0.7 * dy, x0 + 2 * dx, b + 1e-10 * dy});
+  }
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> u(0.0, 1.0);
+  for (int k = 0; k < 600; ++k) {
+    const double rw = (0.2 + 4.0 * u(rng)) * dx;
+    const double rh = (0.2 + 4.0 * u(rng)) * dy;
+    const double cx = reg.lx - 2 * dx + u(rng) * (w + 4 * dx);
+    const double cy = reg.ly - 2 * dy + u(rng) * (h + 4 * dy);
+    rs.push_back({cx - rw / 2, cy - rh / 2, cx + rw / 2, cy + rh / 2});
+  }
+  return rs;
+}
+
+TEST(BinGridProperties, StampAllBitIdenticalToSerialAtEveryThreadCount) {
+  for (const std::size_t m : {16u, 128u}) {
+    const BinGrid g({-3.0, 5.0, -3.0 + 0.75 * m, 5.0 + 1.25 * m}, m, m);
+    const std::vector<Rect> rects = scatterRects(g, 1000 + m);
+    std::vector<double> amount(rects.size());
+    std::mt19937_64 rng(m);
+    std::uniform_real_distribution<double> u(0.5, 2.0);
+    for (std::size_t i = 0; i < rects.size(); ++i) {
+      amount[i] = rects[i].area() * u(rng);
+    }
+    auto objFn = [&](std::size_t i, Rect* r, double* a) {
+      *r = rects[i];
+      *a = amount[i];
+    };
+    std::vector<std::int32_t> rowSpans(rects.size());
+    for (const std::size_t n : {std::size_t{63}, std::size_t{64},
+                                std::size_t{65}, rects.size()}) {
+      std::vector<double> ref(g.numBins(), 0.0);
+      for (std::size_t i = 0; i < n; ++i) g.stamp(rects[i], amount[i], ref);
+      for (const int t : {2, 3, 4, 7}) {
+        ThreadPool pool(t);
+        std::vector<double> got(g.numBins(), 0.0);
+        g.stampAll(n, objFn, got, &pool, rowSpans);
+        EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                              ref.size() * sizeof(double)),
+                  0)
+            << m << "^2 grid, n = " << n << ", " << t << " threads";
+      }
+    }
+  }
+  // Rows beyond the 16-bit packed span: stampAll must still match.
+  const std::size_t tall = 70000;
+  const BinGrid g({0.0, 0.0, 4.0, static_cast<double>(tall)}, 4, tall);
+  std::vector<Rect> rects;
+  for (std::size_t i = 0; i < 200; ++i) {
+    const double y = 65000.0 + 7.3 * static_cast<double>(i);
+    rects.push_back({0.5, y, 3.5, y + 1.0 + static_cast<double>(i % 9)});
+  }
+  std::vector<double> ref(g.numBins(), 0.0), got(g.numBins(), 0.0);
+  for (const Rect& r : rects) g.stamp(r, r.area(), ref);
+  std::vector<std::int32_t> rowSpans(rects.size());
+  ThreadPool pool(4);
+  g.stampAll(
+      rects.size(),
+      [&](std::size_t i, Rect* r, double* a) {
+        *r = rects[i];
+        *a = rects[i].area();
+      },
+      got, &pool, rowSpans);
+  EXPECT_EQ(std::memcmp(got.data(), ref.data(), ref.size() * sizeof(double)),
+            0)
+      << tall << "-row grid";
 }
 
 // ---------- ThreadPool contracts ----------

@@ -10,7 +10,8 @@
 //    across the two thread counts;
 //  * the view's CSRs agree with a naive per-net rebuild from the AoS nets;
 //  * the movable remap round-trips;
-//  * the scratch arena reuses buffers without growth once warmed up, and
+//  * the scratch arena reuses buffers without growth once warmed up (the
+//    Poisson solver, and ElectroDensity's update/overflow on the pool), and
 //    a second GlobalPlacer run on the same view allocates nothing new
 //    (cGP after mGP reuses mGP's arena leases).
 #include <gtest/gtest.h>
@@ -23,12 +24,14 @@
 #include <string>
 #include <vector>
 
+#include "density/electro.h"
 #include "eplace/global_placer.h"
 #include "fft/poisson.h"
 #include "gen/generator.h"
 #include "model/netlist.h"
 #include "qp/initial_place.h"
 #include "util/context.h"
+#include "util/parallel.h"
 
 namespace ep {
 namespace {
@@ -321,6 +324,46 @@ TEST(ScratchArena, PoissonSolverSteadyStateNeverGrows) {
   next.solve(rho, nullptr);
   EXPECT_EQ(arena.growthEvents(), warm)
       << "same-size successor solver re-allocated instead of re-leasing";
+}
+
+// ElectroDensity on the pool: update() and overflow() share the
+// "den.rowSpans" scatter scratch (sized by the larger of the two object
+// counts after the first update), and the lazy psi synthesis works in
+// place. Repeated calls after the warm-up must not grow any buffer.
+TEST(ScratchArena, ElectroDensityOnPoolSteadyStateNeverGrows) {
+  ScratchArena arena;
+  ThreadPool pool(4);
+  const std::size_t m = 64, n = 3000, cells = 2000;
+  ElectroDensity ed({0, 0, 128, 128}, m, m, 1.0, &arena);
+  PlacementDB empty;
+  empty.region = {0, 0, 128, 128};
+  empty.finalize();
+  ed.stampFixed(empty);
+  std::vector<double> cx(n), cy(n), w(n, 1.5), h(n, 1.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    cx[i] = 4.0 + static_cast<double>((i * 37) % 120);
+    cy[i] = 4.0 + static_cast<double>((i * 53) % 120);
+  }
+  const ChargeView all{cx, cy, w, h};
+  const ChargeView some{std::span<const double>(cx).first(cells),
+                        std::span<const double>(cy).first(cells),
+                        std::span<const double>(w).first(cells),
+                        std::span<const double>(h).first(cells)};
+  ed.update(all, &pool);
+  (void)ed.overflow(some, &pool);
+  (void)ed.energy(&pool);
+  const long warm = arena.growthEvents();
+  const std::size_t buffers = arena.bufferCount();
+  for (int it = 0; it < 5; ++it) {
+    cx[static_cast<std::size_t>(it)] += 1.0;
+    ed.update(all, &pool);
+    (void)ed.overflow(some, &pool);
+    (void)ed.overflow(all, &pool);
+    (void)ed.energy(&pool);
+  }
+  EXPECT_EQ(arena.growthEvents(), warm)
+      << "steady-state update()/overflow() grew an arena buffer";
+  EXPECT_EQ(arena.bufferCount(), buffers);
 }
 
 // The Nesterov loop's zero-steady-state-allocation contract, observed via
