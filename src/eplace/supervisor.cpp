@@ -92,11 +92,6 @@ struct Supervisor {
   /// consumed by the first attempt of the stage and ladder level it
   /// belongs to; its level cursor picks where the ladder continues.
   Checkpoint resume;
-  /// Multilevel V-cycle state. The ladder is rebuilt deterministically on
-  /// resume (coarsening depends only on the netlist, geometry, and the
-  /// restored positions), so it is never serialized.
-  ClusterLadder ladder;
-  bool ladderBuilt = false;
   /// Level currently running/checkpointing (drives the "mlevel" section).
   int curLevel = -1;
   PlacementDB* curLevelDb = nullptr;
@@ -314,34 +309,20 @@ struct Supervisor {
   /// its uncoarsened entry positions and the ladder continues. Returns
   /// false on a memory-budget breach (the ladder is abandoned; the flat
   /// stage's degradation ladder owns that failure mode).
-  bool runOneCoarseLevel(int k) {
-    PlacementDB& ldb = ladder.levels[static_cast<std::size_t>(k)].coarse;
+  bool runOneCoarseLevel(PlacementDB& ldb, int k) {
+    StageReport rep;
+    rep.stage = FlowStage::kMgp;
+    rep.level = k;
+    rep.attempts = 1;
     Timer t;
     const auto entry = capturePositions(ldb);
     GpConfig gcfg = st.cfg.gp;
     gcfg.maxIterations = std::max(1, sup.multilevel.levelMaxIterations);
     gcfg.targetOverflow =
         std::max(gcfg.targetOverflow, kLevelTargetOverflow);
-    GlobalPlacer gp(ldb, ldb.movable(), gcfg, &rc);
-    GpRunControl ctl;
     const bool resumeHere = resume.hasGp &&
                             resume.next == FlowStage::kMgp &&
                             resume.level == k;
-    if (resumeHere && resume.levelFillers.size() > 0) {
-      gp.setFillers(resume.levelFillers);
-      ctl.resume = &resume.gp;
-    } else {
-      gp.makeFillersFromDb();
-    }
-    curLevel = k;
-    curLevelDb = &ldb;
-    curLevelFillers = gp.fillers();
-    if (sup.saveEvery > 0 && !sup.snapshotDir.empty()) {
-      ctl.saveEvery = sup.saveEvery;
-      ctl.save = [this](const GpCheckpointState& cp) {
-        saveSnapshot(FlowStage::kMgp, &cp);
-      };
-    }
     GlobalPlacer::TraceFn trace;
     if (st.cfg.gpTrace) {
       const std::string label = "mGP@L" + std::to_string(k);
@@ -351,10 +332,30 @@ struct Supervisor {
     }
     GpResult r;
     bool memBreach = false;
+    // The level's arena and grid are charged from the placer's
+    // construction on, so a breach anywhere in the level abandons it.
     try {
+      GlobalPlacer gp(ldb, ldb.movable(), gcfg, &rc);
+      GpRunControl ctl;
+      if (resumeHere && resume.levelFillers.size() > 0) {
+        gp.setFillers(resume.levelFillers);
+        ctl.resume = &resume.gp;
+      } else {
+        gp.makeFillersFromDb();
+      }
+      curLevel = k;
+      curLevelDb = &ldb;
+      curLevelFillers = gp.fillers();
+      if (sup.saveEvery > 0 && !sup.snapshotDir.empty()) {
+        ctl.saveEvery = sup.saveEvery;
+        ctl.save = [this](const GpCheckpointState& cp) {
+          saveSnapshot(FlowStage::kMgp, &cp);
+        };
+      }
       r = gp.run(trace, ctl);
     } catch (const MemoryBudgetExceeded& e) {
       memBreach = true;
+      rep.status = Status::resourceExhausted(e.what());
       rc.stats().add("supervisor.memBreaches", 1.0);
       rc.log().warn("supervisor: mGP@L%d memory budget breach (%s); "
                     "abandoning coarse levels",
@@ -363,10 +364,14 @@ struct Supervisor {
     if (resumeHere) resume.hasGp = false;
     curLevel = -1;
     curLevelDb = nullptr;
+    curLevelFillers = FillerSet{};
     if (memBreach || !movablesFiniteInCore(ldb)) {
       restorePositions(ldb, entry);
       if (!memBreach) {
         bumpStage(FlowStage::kMgp, "rollbacks", 1.0);
+        rep.status = Status::numericalDivergence(
+            "failed the finite/in-core gate");
+        appendNote(rep, "level rolled back to its seed");
         rc.log().warn("supervisor: mGP@L%d failed the finite/in-core gate; "
                       "level rolled back to its seed",
                       k);
@@ -382,25 +387,50 @@ struct Supervisor {
         "HPWL %.4g, %.2fs",
         k, lm.clusters, lm.metrics.iterations, lm.metrics.overflow,
         lm.metrics.hpwl, lm.metrics.seconds);
+    rep.seconds = lm.metrics.seconds;
+    appendNote(rep, std::to_string(lm.clusters) + " clusters");
+    report.stages.push_back(std::move(rep));
     return !memBreach;
+  }
+
+  /// Charges a freshly built ladder to the session budget: each level's
+  /// view in `viewCharges` (one entry per level, dropped with it), and its
+  /// arena's growth from now on. False on a breach; the caller then drops
+  /// the whole ladder.
+  bool chargeLadder(ClusterLadder& ladder,
+                    std::vector<ScopedCharge>& viewCharges) {
+    viewCharges.reserve(ladder.depth());
+    for (ClusterLevel& lvl : ladder.levels) {
+      PlacementView& pv = lvl.coarse.view();
+      viewCharges.emplace_back(rc.memory(), pv.footprintBytes());
+      if (!viewCharges.back().ok()) {
+        rc.stats().add("supervisor.memBreaches", 1.0);
+        rc.log().warn("supervisor: memory budget cannot hold the cluster "
+                      "ladder; flat mGP only");
+        return false;
+      }
+      pv.arena().setBudget(&rc.memory());
+    }
+    return true;
   }
 
   /// The coarse half of the V-cycle, run before flat mGP: coarsest level
   /// first, each level seeding the next-finer instance via uncoarsening,
   /// with a boundary snapshot per level so a killed run resumes mid-ladder
-  /// bit-exactly.
+  /// bit-exactly. The ladder lives only here, and each level is freed as
+  /// soon as it has seeded the next-finer one and the boundary snapshot
+  /// is written. It is rebuilt deterministically on resume (coarsening
+  /// depends only on the netlist, geometry and the restored positions), so
+  /// it is never serialized.
   void runCoarseLevels() {
     if (!multilevelEngaged()) return;
-    if (!ladderBuilt) {
-      auto lr = buildClusterLadder(db, sup.multilevel.cluster, &rc);
-      if (!lr.ok()) {
-        rc.log().warn("supervisor: clustering failed (%s); flat mGP only",
-                      lr.status().toString().c_str());
-        return;
-      }
-      ladder = std::move(*lr);
-      ladderBuilt = true;
+    auto lr = buildClusterLadder(db, sup.multilevel.cluster, &rc);
+    if (!lr.ok()) {
+      rc.log().warn("supervisor: clustering failed (%s); flat mGP only",
+                    lr.status().toString().c_str());
+      return;
     }
+    ClusterLadder ladder = std::move(*lr);
     if (ladder.empty()) return;
     const int depth = static_cast<int>(ladder.depth());
     int start = depth - 1;
@@ -424,15 +454,19 @@ struct Supervisor {
         resume.hasGp = false;
       }
     }
+    // Levels coarser than the start have already seeded theirs.
+    ladder.levels.resize(static_cast<std::size_t>(start + 1));
+    std::vector<ScopedCharge> viewCharges;
+    if (!chargeLadder(ladder, viewCharges)) return;
     bumpStage(FlowStage::kMgp, "levels", static_cast<double>(start + 1));
     for (int k = start; k >= 0; --k) {
       if (rc.cancelled()) return;  // the flat stage reports the cancel
-      if (!runOneCoarseLevel(k)) return;
+      ClusterLevel& level = ladder.levels[static_cast<std::size_t>(k)];
+      if (!runOneCoarseLevel(level.coarse, k)) return;
       if (rc.cancelled()) return;
       PlacementDB& fine =
           k == 0 ? db : ladder.levels[static_cast<std::size_t>(k - 1)].coarse;
-      const Status us =
-          uncoarsenPositions(ladder.levels[static_cast<std::size_t>(k)], fine);
+      const Status us = uncoarsenPositions(level, fine);
       if (!us.ok()) {
         // Unreachable for a ladder built from this db; bail to flat mGP.
         rc.log().warn("supervisor: uncoarsen failed at L%d: %s", k,
@@ -445,13 +479,15 @@ struct Supervisor {
       if (k > 0) {
         curLevel = k - 1;
         curLevelDb = &fine;
-        curLevelFillers = FillerSet{};
         saveSnapshot(FlowStage::kMgp, nullptr);
         curLevel = -1;
         curLevelDb = nullptr;
       } else {
         saveSnapshot(FlowStage::kMgp, nullptr);
       }
+      // Level k is spent: free it and return its bytes to the budget.
+      level = ClusterLevel{};
+      viewCharges.pop_back();
     }
   }
 
@@ -839,8 +875,11 @@ std::string SupervisorReport::summary() const {
                 snapshotsWritten, snapshotsRejected,
                 resumed ? ", resumed run" : "");
   out += line;
-  out += "  stage  att  time(s)  outcome   note\n";
+  out += "  stage    att  time(s)  outcome   note\n";
   for (const auto& r : stages) {
+    const std::string name = r.level >= 0
+                                 ? "mGP@L" + std::to_string(r.level)
+                                 : std::string(flowStageName(r.stage));
     const char* outcome = "ok";
     if (r.resumed && r.attempts == 0) {
       outcome = "resumed";
@@ -849,8 +888,8 @@ std::string SupervisorReport::summary() const {
     } else if (r.fellBack) {
       outcome = "fallback";
     }
-    std::snprintf(line, sizeof line, "  %-5s  %3d  %7.2f  %-8s  %s\n",
-                  flowStageName(r.stage), r.attempts, r.seconds, outcome,
+    std::snprintf(line, sizeof line, "  %-7s  %3d  %7.2f  %-8s  %s\n",
+                  name.c_str(), r.attempts, r.seconds, outcome,
                   r.note.c_str());
     out += line;
   }

@@ -148,8 +148,11 @@ struct SupervisorConfig {
 SupervisorConfig plainPolicy();
 
 /// Outcome of one supervised stage (one row of the end-of-flow report).
+/// Each coarse V-cycle level adds a kMgp row with its level index, ahead of
+/// the flat mGP row.
 struct StageReport {
   FlowStage stage = FlowStage::kMip;
+  int level = -1;  ///< coarse V-cycle level ("mGP@L<k>"); -1 = flat stage
   int attempts = 0;
   bool fellBack = false;  ///< fallback path produced the accepted result
   bool resumed = false;   ///< satisfied from a snapshot, not executed

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 #include "model/netlist.h"
 #include "util/checked_math.h"
@@ -13,7 +14,7 @@ namespace {
 template <typename T>
 std::span<T> borrow(std::map<std::string, std::vector<T>, std::less<>>& pool,
                     std::string_view key, std::size_t n, long& growth,
-                    MemoryBudget* budget) {
+                    MemoryBudget* budget, std::size_t& charged) {
   auto it = pool.find(key);
   if (it == pool.end()) {
     it = pool.emplace(std::string(key), std::vector<T>()).first;
@@ -24,7 +25,9 @@ std::span<T> borrow(std::map<std::string, std::vector<T>, std::less<>>& pool,
     // elements, so the accounting is exact and a rejected charge leaves
     // the old buffer (and the budget) untouched.
     if (budget != nullptr) {
-      budget->chargeOrThrow((n - buf.capacity()) * sizeof(T));
+      const std::size_t bytes = (n - buf.capacity()) * sizeof(T);
+      budget->chargeOrThrow(bytes);
+      charged += bytes;
     }
     buf.reserve(n);
     ++growth;
@@ -35,13 +38,57 @@ std::span<T> borrow(std::map<std::string, std::vector<T>, std::less<>>& pool,
 
 }  // namespace
 
+ScratchArena::ScratchArena(const ScratchArena& other)
+    : d_(other.d_), i_(other.i_), growth_(other.growth_) {}
+
+ScratchArena& ScratchArena::operator=(const ScratchArena& other) {
+  if (this != &other) {
+    releaseCharge();
+    d_ = other.d_;
+    i_ = other.i_;
+    growth_ = other.growth_;
+    budget_ = nullptr;
+  }
+  return *this;
+}
+
+ScratchArena::ScratchArena(ScratchArena&& other) noexcept
+    : d_(std::move(other.d_)),
+      i_(std::move(other.i_)),
+      growth_(other.growth_),
+      budget_(other.budget_),
+      charged_(std::exchange(other.charged_, 0)) {}
+
+ScratchArena& ScratchArena::operator=(ScratchArena&& other) noexcept {
+  if (this != &other) {
+    releaseCharge();
+    d_ = std::move(other.d_);
+    i_ = std::move(other.i_);
+    growth_ = other.growth_;
+    budget_ = other.budget_;
+    charged_ = std::exchange(other.charged_, 0);
+  }
+  return *this;
+}
+
+void ScratchArena::releaseCharge() {
+  if (budget_ != nullptr) budget_->release(charged_);
+  charged_ = 0;
+}
+
+void ScratchArena::setBudget(MemoryBudget* budget) {
+  if (budget == budget_) return;
+  releaseCharge();
+  budget_ = budget;
+}
+
 std::span<double> ScratchArena::doubles(std::string_view key, std::size_t n) {
-  return borrow(d_, key, n, growth_, budget_);
+  return borrow(d_, key, n, growth_, budget_, charged_);
 }
 
 std::span<std::int32_t> ScratchArena::ints(std::string_view key,
                                            std::size_t n) {
-  return borrow(i_, key, n, growth_, budget_);
+  return borrow(i_, key, n, growth_, budget_, charged_);
 }
 
 std::size_t ScratchArena::capacityBytes() const {

@@ -44,6 +44,17 @@ class PlacementDB;
 /// (growth) events so tests can assert reuse-without-growth.
 class ScratchArena {
  public:
+  ScratchArena() = default;
+  /// A copy holds the same buffers but no budget and no charge: it pays
+  /// only for its own growth once setBudget() attaches one.
+  ScratchArena(const ScratchArena& other);
+  ScratchArena& operator=(const ScratchArena& other);
+  /// A move takes the buffers together with their charge.
+  ScratchArena(ScratchArena&& other) noexcept;
+  ScratchArena& operator=(ScratchArena&& other) noexcept;
+  /// Returns every byte this arena charged to its budget.
+  ~ScratchArena() { releaseCharge(); }
+
   /// Borrow a double buffer named `key`, resized to n elements. Contents
   /// are unspecified (previous contents or garbage) — callers must fill.
   std::span<double> doubles(std::string_view key, std::size_t n);
@@ -62,15 +73,21 @@ class ScratchArena {
   /// bytes it reserves *before* allocating, throwing MemoryBudgetExceeded
   /// on a breach (the supervisor converts it to kResourceExhausted at the
   /// stage boundary). Steady-state borrows — the only thing kernels do
-  /// after warm-up — never touch the budget. nullptr detaches.
-  void setBudget(MemoryBudget* budget) { budget_ = budget; }
+  /// after warm-up — never touch the budget. The charge is held until the
+  /// arena is destroyed or assigned over, or the budget is swapped:
+  /// attaching a different budget (or nullptr, which detaches) first
+  /// returns everything charged to the old one.
+  void setBudget(MemoryBudget* budget);
   [[nodiscard]] MemoryBudget* budget() const { return budget_; }
 
  private:
+  void releaseCharge();
+
   std::map<std::string, std::vector<double>, std::less<>> d_;
   std::map<std::string, std::vector<std::int32_t>, std::less<>> i_;
   long growth_ = 0;
-  MemoryBudget* budget_ = nullptr;  // not owned; context outlives the view
+  MemoryBudget* budget_ = nullptr;  // not owned; must outlive the arena
+  std::size_t charged_ = 0;         // owed back to budget_
 };
 
 /// Immutable-topology, mutable-position SoA snapshot of a PlacementDB.

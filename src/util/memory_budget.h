@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace ep {
 
@@ -127,26 +128,45 @@ class MemoryBudget {
 };
 
 /// RAII charge for scoped buffers (snapshot serialization, transient
-/// assembly). Charges in the constructor — check ok() before allocating —
-/// and releases in the destructor.
+/// assembly) and for long-lived structures whose owner holds the charge
+/// next to them (a V-cycle level's view). Charges in the constructor —
+/// check ok() before allocating — and releases in the destructor. Moving
+/// hands the held charge over; a default-constructed charge holds nothing.
 class ScopedCharge {
  public:
+  ScopedCharge() = default;
   ScopedCharge(MemoryBudget& budget, std::size_t bytes)
       : budget_(&budget), bytes_(bytes), ok_(budget.tryCharge(bytes)) {}
-  ~ScopedCharge() {
-    if (ok_) budget_->release(bytes_);
-  }
+  ~ScopedCharge() { release(); }
   ScopedCharge(const ScopedCharge&) = delete;
   ScopedCharge& operator=(const ScopedCharge&) = delete;
+  ScopedCharge(ScopedCharge&& other) noexcept
+      : budget_(other.budget_),
+        bytes_(other.bytes_),
+        ok_(std::exchange(other.ok_, false)) {}
+  ScopedCharge& operator=(ScopedCharge&& other) noexcept {
+    if (this != &other) {
+      release();
+      budget_ = other.budget_;
+      bytes_ = other.bytes_;
+      ok_ = std::exchange(other.ok_, false);
+    }
+    return *this;
+  }
 
   /// False when the charge was rejected (nothing is held; destructor is a
   /// no-op). Call sites translate this into kResourceExhausted.
   [[nodiscard]] bool ok() const { return ok_; }
 
  private:
-  MemoryBudget* budget_;
-  std::size_t bytes_;
-  bool ok_;
+  void release() {
+    if (ok_) budget_->release(bytes_);
+    ok_ = false;
+  }
+
+  MemoryBudget* budget_ = nullptr;
+  std::size_t bytes_ = 0;
+  bool ok_ = false;
 };
 
 }  // namespace ep

@@ -8,13 +8,15 @@
 //   * uncoarsen ∘ coarsen maps every fine object exactly once (members
 //     CSR is a partition, fineToCoarse is total and consistent);
 //   * the supervised multilevel V-cycle completes, records per-level
-//     rows, stays bit-identical across thread counts, and resumes
-//     bit-exactly after a kill inside a coarse level.
+//     rows, stays bit-identical across thread counts, ends on pinned final
+//     HPWL bits, and resumes bit-exactly after a kill inside a coarse
+//     level.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
 #include <filesystem>
+#include <ios>
 #include <map>
 #include <string>
 #include <utility>
@@ -348,7 +350,21 @@ TEST_F(ClusterTest, SupervisedMultilevelThreadCountDeterministic) {
   }
 }
 
-TEST_F(ClusterTest, KilledCoarseLevelResumesBitExact) {
+// The V-cycle's final HPWL, pinned bit for bit: freeing each ladder level
+// once it has seeded the next, and charging the ladder to the memory
+// budget, must not move it.
+TEST_F(ClusterTest, SupervisedMultilevelFinalHpwlPinned) {
+  const MlOutcome out = runMultilevel(31, 1);
+  ASSERT_FALSE(out.levels.empty());
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(out.finalHpwl),
+            0x40cca149c3ed66beULL)
+      << std::hexfloat << out.finalHpwl;
+}
+
+/// Kills a checkpointing multilevel run at iteration 25 of coarse stage
+/// `killStage`, resumes it in a fresh run, and checks that the resumed
+/// trajectory and final placement match an uninterrupted run bit for bit.
+void expectKilledLevelResumesBitExact(const std::string& killStage) {
   const fs::path dir =
       fs::path(::testing::TempDir()) /
       ("cluster_resume_" + std::string(::testing::UnitTest::GetInstance()
@@ -363,13 +379,13 @@ TEST_F(ClusterTest, KilledCoarseLevelResumesBitExact) {
     int iter;
     double hpwl;
   };
-  const auto traced = [](std::vector<TraceRec>* out, int killIter) {
+  const auto traced = [&killStage](std::vector<TraceRec>* out,
+                                   int killIter) {
     FlowConfig cfg = fastFlow();
-    cfg.gpTrace = [out, killIter](const std::string& stage,
-                                  const GpIterTrace& it) {
+    cfg.gpTrace = [out, killIter, killStage](const std::string& stage,
+                                             const GpIterTrace& it) {
       if (out != nullptr) out->push_back({stage, it.iter, it.hpwl});
-      if (killIter >= 0 && it.iter == killIter &&
-          stage.rfind("mGP@L", 0) == 0) {
+      if (killIter >= 0 && it.iter == killIter && stage == killStage) {
         throw KillSignal{};
       }
     };
@@ -384,7 +400,8 @@ TEST_F(ClusterTest, KilledCoarseLevelResumesBitExact) {
   ASSERT_TRUE(refRun.ok());
   ASSERT_FALSE(refRun->mgpLevels.empty());
 
-  // Killed run: checkpoints every 7 iterations, dies at coarse iter 25.
+  // Killed run: checkpoints every 7 iterations, dies at iter 25 of
+  // `killStage`.
   SupervisorConfig supCfg = multilevelConfig();
   supCfg.snapshotDir = dir.string();
   supCfg.saveEvery = 7;
@@ -415,6 +432,9 @@ TEST_F(ClusterTest, KilledCoarseLevelResumesBitExact) {
   std::map<std::pair<std::string, int>, double> refByIter;
   for (const auto& t : refTrace) refByIter[{t.stage, t.iter}] = t.hpwl;
   ASSERT_FALSE(resTrace.empty());
+  // The resume continues inside the killed level; coarser levels are
+  // not run again.
+  EXPECT_EQ(resTrace.front().stage, killStage);
   for (const auto& t : resTrace) {
     const auto it = refByIter.find({t.stage, t.iter});
     ASSERT_NE(it, refByIter.end()) << t.stage << " #" << t.iter;
@@ -430,6 +450,18 @@ TEST_F(ClusterTest, KilledCoarseLevelResumesBitExact) {
         << ref.objects[i].name;
   }
   fs::remove_all(dir);
+}
+
+// Killed inside the coarsest level: the resume restarts it from its
+// mid-level snapshot.
+TEST_F(ClusterTest, KilledCoarseLevelResumesBitExact) {
+  expectKilledLevelResumesBitExact("mGP@L1");
+}
+
+// Killed inside the finer level: the resume rebuilds the ladder, drops the
+// coarsest level, which had already seeded L0, and continues in L0.
+TEST_F(ClusterTest, KilledFinerLevelResumesBitExact) {
+  expectKilledLevelResumesBitExact("mGP@L0");
 }
 
 }  // namespace

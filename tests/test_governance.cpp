@@ -9,9 +9,13 @@
 //     typed kIo; ENOSPC is recognized and never retried.
 //   * Steady-state kernels never touch the budget: arena borrows that do
 //     not grow charge nothing, so budgets cannot perturb results.
+//   * Arenas return what they charged when destroyed or assigned over, so
+//     a session that places twice holds the same charge after each.
 //   * A session whose budget cannot hold the placement view fails with
 //     kResourceExhausted before placing anything; a generously budgeted
 //     session is bit-identical to an unbudgeted one and reports peak bytes.
+//   * The multilevel V-cycle's ladder is charged while it lives: a budget
+//     that holds flat mGP but not the ladder abandons coarse levels.
 //   * The supervised flow survives persistent snapshot-write faults by
 //     degrading to snapshot-less mode and still finishing.
 //   * Daemon governance — an impossible mem_budget_mb is rejected typed at
@@ -33,6 +37,7 @@
 #include "eplace/session.h"
 #include "eplace/supervisor.h"
 #include "gen/generator.h"
+#include "gen/suites.h"
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/journal.h"
@@ -171,6 +176,46 @@ TEST(MemoryBudget, ArenaGrowthBreachThrowsAndAllocatesNothing) {
   arena.setBudget(nullptr);
 }
 
+TEST(MemoryBudget, ArenaReturnsItsChargeWhenDestroyedOrAssignedOver) {
+  MemoryBudget mb;
+  const std::size_t charged =
+      1000u * sizeof(double) + 500u * sizeof(std::int32_t);
+  {
+    ScratchArena arena;
+    arena.setBudget(&mb);
+    (void)arena.doubles("t.buf", 1000);
+    (void)arena.ints("t.idx", 500);
+    EXPECT_EQ(mb.usedBytes(), charged);
+
+    // A move hands the charge over; assigning over an arena returns the
+    // charge it held.
+    ScratchArena moved(std::move(arena));
+    EXPECT_EQ(mb.usedBytes(), charged);
+    ScratchArena other;
+    other.setBudget(&mb);
+    (void)other.doubles("t.other", 100);
+    EXPECT_EQ(mb.usedBytes(), charged + 100u * sizeof(double));
+    other = std::move(moved);
+    EXPECT_EQ(mb.usedBytes(), charged);
+
+    // A copy holds no budget and no charge: destroying it returns nothing.
+    {
+      ScratchArena copy(other);
+      EXPECT_EQ(copy.budget(), nullptr);
+    }
+    EXPECT_EQ(mb.usedBytes(), charged);
+
+    // Detaching returns the charge; growth after re-attaching is charged.
+    other.setBudget(nullptr);
+    EXPECT_EQ(mb.usedBytes(), 0u);
+    other.setBudget(&mb);
+    (void)other.doubles("t.grown", 10);
+    EXPECT_EQ(mb.usedBytes(), 10u * sizeof(double));
+  }
+  EXPECT_EQ(mb.usedBytes(), 0u);  // destruction returned the rest
+  EXPECT_EQ(mb.peakBytes(), charged + 100u * sizeof(double));
+}
+
 // ---------------------------------------------------------------------------
 // ep::io durable-write semantics under injected storage faults.
 
@@ -290,6 +335,92 @@ TEST(Governance, BudgetedRunBitIdenticalToUnbudgetedAndReportsPeak) {
       << "budget accounting perturbed the placement";
   EXPECT_GT(session.context().memory().peakBytes(), 0u);
   EXPECT_LE(session.context().memory().peakBytes(), 512u << 20);
+}
+
+// A session that places twice holds the same charge after each: the
+// arena of the instance it adopted over is returned to the budget, so a
+// budget that fits one placement fits every later one of the same size.
+TEST(Governance, RepeatedPlacementsInOneSessionHoldTheSameCharge) {
+  PlacerSession session(soloOptions(/*memBudgetMb=*/10));
+  const MemoryBudget& mb = session.context().memory();
+  std::size_t used[2] = {0, 0};
+  for (std::size_t& u : used) {
+    ASSERT_TRUE(session.adopt(generateCircuit(suiteSpec("scale_10k"))).ok());
+    const auto res = session.place();
+    ASSERT_TRUE(res.ok()) << res.status().toString();
+    EXPECT_TRUE(res->status.ok()) << res->status.toString();
+    u = mb.usedBytes();
+  }
+  EXPECT_GT(used[0], 0u);
+  EXPECT_EQ(used[1], used[0]);
+}
+
+namespace {
+
+/// A supervised multilevel session on scale_10k (3-level ladder), with the
+/// coarse levels and flat mGP capped to keep the test short.
+SessionOptions multilevelOptions(std::size_t memBudgetMb) {
+  SessionOptions so = soloOptions(memBudgetMb);
+  so.threads = 2;
+  so.sup.multilevel.enabled = true;
+  so.sup.multilevel.levelMaxIterations = kIters;
+  return so;
+}
+
+struct LadderRun {
+  StatusOr<FlowResult> res = Status::internal("not run");
+  std::size_t accountedPeak = 0;
+  double memBreaches = 0.0;
+  int flatMgpAttempts = 0;
+};
+
+LadderRun placeMultilevel(std::size_t memBudgetMb) {
+  PlacerSession session(multilevelOptions(memBudgetMb));
+  EXPECT_TRUE(session.adopt(generateCircuit(suiteSpec("scale_10k"))).ok());
+  LadderRun run;
+  run.res = session.place();
+  run.accountedPeak = session.context().memory().peakBytes();
+  run.memBreaches = session.context().stats().value("supervisor.memBreaches");
+  for (const StageReport& r : session.report().stages) {
+    if (r.stage == FlowStage::kMgp && r.level < 0) {
+      run.flatMgpAttempts = r.attempts;
+    }
+  }
+  return run;
+}
+
+}  // namespace
+
+// The budget sees the V-cycle's ladder: every level's view and arena is
+// charged while the level lives. Flat mGP on this design accounts about
+// 7.2 MiB and the V-cycle about 8.2 MiB. An 8 MiB budget holds flat mGP
+// but not the ladder on top of it, so a coarse level breaches, the ladder
+// is abandoned and flat mGP finishes on its first attempt. A 7 MiB budget
+// holds neither: the coarsest level breaches and flat mGP takes its
+// memory retry on a coarser bin grid.
+TEST(Governance, BudgetSeesTheMultilevelLadder) {
+  const LadderRun full = placeMultilevel(0);
+  ASSERT_TRUE(full.res.ok()) << full.res.status().toString();
+  EXPECT_TRUE(full.res->status.ok()) << full.res->status.toString();
+  EXPECT_GT(full.accountedPeak, std::size_t{8} << 20);
+  EXPECT_EQ(full.memBreaches, 0.0);
+
+  const LadderRun fits = placeMultilevel(8);
+  ASSERT_TRUE(fits.res.ok()) << fits.res.status().toString();
+  EXPECT_TRUE(fits.res->status.ok()) << fits.res->status.toString();
+  EXPECT_LT(fits.res->mgpLevels.size(), full.res->mgpLevels.size());
+  EXPECT_GE(fits.memBreaches, 1.0);
+  EXPECT_EQ(fits.flatMgpAttempts, 1);
+  EXPECT_LE(fits.accountedPeak, std::size_t{8} << 20);
+
+  const LadderRun tight = placeMultilevel(7);
+  ASSERT_TRUE(tight.res.ok()) << tight.res.status().toString();
+  EXPECT_TRUE(tight.res->status.ok()) << tight.res->status.toString();
+  ASSERT_EQ(tight.res->mgpLevels.size(), 1u);
+  EXPECT_EQ(tight.res->mgpLevels[0].metrics.iterations, 0);
+  EXPECT_EQ(tight.flatMgpAttempts, 2);  // the coarser-grid memory retry
+  EXPECT_GE(tight.memBreaches, 2.0);
+  EXPECT_LE(tight.accountedPeak, std::size_t{7} << 20);
 }
 
 TEST(Governance, SupervisedFlowDegradesToSnapshotlessUnderPersistentEnospc) {

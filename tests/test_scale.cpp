@@ -68,14 +68,17 @@ TEST(ScaleTest, Supervised100kMultilevelFlowWithinBudgets) {
   // scheduler noise, tight enough that a superlinear regression in any
   // stage or a vector-regrowth memory spike fails the lane.
   EXPECT_LT(wall, 900.0) << "wall seconds over the scale budget";
-  // Peak RSS stays O(cells): ~150 MB of model + optimizer state for 100k
-  // cells; 2 GiB flags an accidental O(n^2) or regrowth blowup.
-  EXPECT_LT(peakRssBytes(), std::size_t{2} << 30)
+  // Peak RSS stays O(cells). The V-cycle frees each coarse level once it
+  // has seeded the next-finer one; measured at 222 MiB (4 threads, GCC
+  // 12.2, RelWithDebInfo, x86-64). The bound leaves a 28 MiB (~12%)
+  // margin, so holding the whole ladder to the end of the flow (401 MiB),
+  // an O(n^2) structure or a regrowth spike fails the lane.
+  EXPECT_LT(peakRssBytes(), std::size_t{250} << 20)
       << "peak RSS " << (peakRssBytes() >> 20) << " MiB over the budget";
 
-  std::printf("scale_100k: %.1fs wall, %zu MiB peak RSS, HPWL %.4g, "
+  std::printf("scale_100k: %.1fs wall, %zu MiB peak RSS, HPWL %.4g (%a), "
               "%zu coarse levels\n",
-              wall, peakRssBytes() >> 20, run->finalHpwl,
+              wall, peakRssBytes() >> 20, run->finalHpwl, run->finalHpwl,
               run->mgpLevels.size());
 }
 
