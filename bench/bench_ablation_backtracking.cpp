@@ -10,6 +10,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = mmsSuite();
   suite.resize(fastMode(argc, argv) ? 2 : 6);
 
@@ -23,14 +24,14 @@ int main(int argc, char** argv) {
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
     FlowConfig on;
-    const FlowResult ra = *runSupervisedFlow(a, on, plainPolicy());
+    const FlowResult ra = *runSupervisedFlow(a, on, ctx, plainPolicy());
     btPerIter += static_cast<double>(ra.mgpResult.backtracks) /
                  std::max(1, ra.mgpResult.iterations);
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig off;
     off.gp.enableBacktracking = false;
-    const FlowResult rb = *runSupervisedFlow(b, off, plainPolicy());
+    const FlowResult rb = *runSupervisedFlow(b, off, ctx, plainPolicy());
     if (!rb.mgpResult.converged) ++failures;
 
     with.push_back(ra.finalScaledHpwl);

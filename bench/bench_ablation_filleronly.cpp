@@ -9,6 +9,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = mmsSuite();
   suite.resize(fastMode(argc, argv) ? 2 : 8);
 
@@ -18,12 +19,12 @@ int main(int argc, char** argv) {
   std::vector<double> with, without;
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
-    const FlowResult ra = *runSupervisedFlow(a, {}, plainPolicy());
+    const FlowResult ra = *runSupervisedFlow(a, {}, ctx, plainPolicy());
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig off;
     off.enableFillerOnly = false;
-    const FlowResult rb = *runSupervisedFlow(b, off, plainPolicy());
+    const FlowResult rb = *runSupervisedFlow(b, off, ctx, plainPolicy());
 
     with.push_back(ra.finalScaledHpwl);
     without.push_back(rb.finalScaledHpwl);

@@ -9,6 +9,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = ispd2005Suite();
   suite.resize(fastMode(argc, argv) ? 1 : 3);
 
@@ -19,11 +20,11 @@ int main(int argc, char** argv) {
   bool shape = true;
   for (const auto& spec : suite) {
     PlacementDB db = generateCircuit(spec);
-    quadraticInitialPlace(db);
+    quadraticInitialPlace(db, ctx);
     BellPlaceConfig bcfg;
     bcfg.maxOuterIterations = 8;
     bcfg.cgIterationsPerOuter = 50;
-    const BellPlaceResult bell = bellPlace(db, bcfg);
+    const BellPlaceResult bell = bellPlace(db, ctx, bcfg);
     const double lsShare = bell.lineSearchSeconds /
                            std::max(bell.optimizerSeconds, 1e-12);
     const double cgEvalsPerIter =
@@ -31,8 +32,8 @@ int main(int argc, char** argv) {
         (bcfg.maxOuterIterations * bcfg.cgIterationsPerOuter);
 
     PlacementDB db2 = generateCircuit(spec);
-    quadraticInitialPlace(db2);
-    GlobalPlacer gp(db2, db2.movable(), {});
+    quadraticInitialPlace(db2, ctx);
+    GlobalPlacer gp(db2, db2.movable(), {}, ctx);
     gp.makeFillersFromDb();
     const GpResult nes = gp.run();
     const double nesEvalsPerIter =

@@ -8,6 +8,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = ispd2005Suite();
   suite.resize(fastMode(argc, argv) ? 2 : 4);
 
@@ -18,12 +19,12 @@ int main(int argc, char** argv) {
   std::vector<double> nIt, gIt, nWl, gWl;
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
-    const FlowResult ra = *runSupervisedFlow(a, {}, plainPolicy());
+    const FlowResult ra = *runSupervisedFlow(a, {}, ctx, plainPolicy());
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig off;
     off.gp.enableMomentum = false;
-    const FlowResult rb = *runSupervisedFlow(b, off, plainPolicy());
+    const FlowResult rb = *runSupervisedFlow(b, off, ctx, plainPolicy());
 
     nIt.push_back(ra.mgpResult.iterations);
     gIt.push_back(rb.mgpResult.iterations);

@@ -16,6 +16,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = ispd2005Suite();
   suite.resize(fastMode(argc, argv) ? 1 : 3);
 
@@ -29,19 +30,19 @@ int main(int argc, char** argv) {
     {
       PlacementDB db = generateCircuit(spec);
       Timer t;
-      quadraticInitialPlace(db);
-      bellPlace(db);
-      finishBaseline(db);
+      quadraticInitialPlace(db, ctx);
+      bellPlace(db, ctx);
+      finishBaseline(db, ctx);
       m[0] = measure(db, t.seconds());
     }
     {
       PlacementDB db = generateCircuit(spec);
       Timer t;
-      quadraticInitialPlace(db);
+      quadraticInitialPlace(db, ctx);
       BellPlaceConfig cfg;
       cfg.useNesterov = true;
-      bellPlace(db, cfg);
-      finishBaseline(db);
+      bellPlace(db, ctx, cfg);
+      finishBaseline(db, ctx);
       m[1] = measure(db, t.seconds());
     }
     {
@@ -49,13 +50,13 @@ int main(int argc, char** argv) {
       Timer t;
       FlowConfig cfg;
       cfg.gp.enableMomentum = false;
-      runSupervisedFlow(db, cfg, plainPolicy());
+      runSupervisedFlow(db, cfg, ctx, plainPolicy());
       m[2] = measure(db, t.seconds());
     }
     {
       PlacementDB db = generateCircuit(spec);
       Timer t;
-      runSupervisedFlow(db, {}, plainPolicy());
+      runSupervisedFlow(db, {}, ctx, plainPolicy());
       m[3] = measure(db, t.seconds());
     }
     bc.push_back(m[0].hpwl);

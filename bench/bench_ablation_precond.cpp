@@ -10,6 +10,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = mmsSuite();
   suite.resize(fastMode(argc, argv) ? 2 : 6);
 
@@ -21,12 +22,12 @@ int main(int argc, char** argv) {
   int failures = 0;
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
-    const FlowResult ra = *runSupervisedFlow(a, {}, plainPolicy());
+    const FlowResult ra = *runSupervisedFlow(a, {}, ctx, plainPolicy());
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig off;
     off.gp.enablePreconditioner = false;
-    const FlowResult rb = *runSupervisedFlow(b, off, plainPolicy());
+    const FlowResult rb = *runSupervisedFlow(b, off, ctx, plainPolicy());
     if (!rb.mgpResult.converged) ++failures;
 
     with.push_back(ra.finalScaledHpwl);

@@ -9,6 +9,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = mmsSuite();
   suite.resize(fastMode(argc, argv) ? 2 : 6);
 
@@ -19,13 +20,13 @@ int main(int argc, char** argv) {
   std::vector<double> plain, rotated;
   for (const auto& spec : suite) {
     PlacementDB a = generateCircuit(spec);
-    const FlowResult ra = *runSupervisedFlow(a, {}, plainPolicy());
+    const FlowResult ra = *runSupervisedFlow(a, {}, ctx, plainPolicy());
 
     PlacementDB b = generateCircuit(spec);
     FlowConfig cfg;
     cfg.mlg.allowRotation = true;
     cfg.mlg.allowFlipping = true;
-    const FlowResult rb = *runSupervisedFlow(b, cfg, plainPolicy());
+    const FlowResult rb = *runSupervisedFlow(b, cfg, ctx, plainPolicy());
 
     plain.push_back(ra.finalScaledHpwl);
     rotated.push_back(rb.finalScaledHpwl);

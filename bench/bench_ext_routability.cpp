@@ -8,6 +8,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   const int count = fastMode(argc, argv) ? 1 : 3;
 
   std::printf("=== Extension: routability-driven refinement (RUDY) ===\n");
@@ -22,8 +23,8 @@ int main(int argc, char** argv) {
     spec.locality = 0.9;
     spec.seed = 100 + static_cast<std::uint64_t>(i);
     PlacementDB db = generateCircuit(spec);
-    runSupervisedFlow(db, {}, plainPolicy());
-    const RoutabilityResult res = routabilityDrivenRefine(db);
+    runSupervisedFlow(db, {}, ctx, plainPolicy());
+    const RoutabilityResult res = routabilityDrivenRefine(db, ctx);
     std::printf("%-16s %12.4g %12.4g %12.4g %12.4g %8s\n", spec.name.c_str(),
                 res.hotspotBefore, res.hotspotAfter, res.hpwlBefore,
                 res.hpwlAfter, res.legal ? "yes" : "no");

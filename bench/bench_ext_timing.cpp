@@ -7,6 +7,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = ispd2005Suite();
   suite.resize(fastMode(argc, argv) ? 1 : 3);
 
@@ -22,7 +23,7 @@ int main(int argc, char** argv) {
     // Clock 10% tighter than the seed run's critical path, so WNS starts
     // negative and the weighting rounds have something to recover.
     cfg.clockFactor = 0.9;
-    const TimingDrivenResult res = timingDrivenPlace(db, cfg);
+    const TimingDrivenResult res = timingDrivenPlace(db, ctx, cfg);
     std::printf("%-22s %10.4g %10.4g %12.4g %12.4g %+9.2f%%\n",
                 spec.name.c_str(), res.wnsBefore, res.wnsAfter,
                 res.maxDelayBefore, res.maxDelayAfter,

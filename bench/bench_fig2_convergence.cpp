@@ -21,7 +21,8 @@ int main() {
   // The threads column is provenance only: traces are bit-identical for any
   // thread count (docs/PERFORMANCE.md).
   CsvWriter csv("fig2_trace.csv",
-                {"stage", "iter", "hpwl", "overflow", "overlap", "threads"});
+                {"stage", "iter", "hpwl", "overflow", "overlap", "threads"},
+                ctx.log());
   if (!csv.ok()) {
     std::fprintf(stderr,
                  "fig2_trace.csv is not writable; trace rows will be "
@@ -48,7 +49,7 @@ int main() {
   };
 
   const FlowResult res =
-      *runSupervisedFlow(db, cfg, plainPolicy(), nullptr, &ctx);
+      *runSupervisedFlow(db, cfg, ctx, plainPolicy());
 
   std::printf("=== Fig. 2: HPWL / overlap per stage (mms_adaptec1s) ===\n");
   std::printf("%-6s %12s %12s %10s\n", "stage", "HPWL", "OVLP", "overflow");

@@ -14,12 +14,13 @@
 int main() {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   const GenSpec spec = suiteSpec("mms_adaptec1s");
   PlacementDB db = generateCircuit(spec);
-  quadraticInitialPlace(db);
+  quadraticInitialPlace(db, ctx);
 
   GpConfig cfg;
-  GlobalPlacer gp(db, db.movable(), cfg);
+  GlobalPlacer gp(db, db.movable(), cfg, ctx);
   gp.makeFillersFromDb();
 
   const std::vector<int> marks{0, 25, 80, 140, 200};
@@ -32,7 +33,7 @@ int main() {
     const auto& f = gp.fillers();
     char path[64];
     std::snprintf(path, sizeof path, "fig3_iter%03d.ppm", iter);
-    plotLayout(db, path, f.cx, f.cy, std::vector<double>(f.size(), f.w),
+    plotLayout(db, path, ctx, f.cx, f.cy, std::vector<double>(f.size(), f.w),
                std::vector<double>(f.size(), f.h));
     std::printf("%6d %12.4g %12.4g %10.3f   -> %s\n", iter, hpwlNow, o, tau,
                 path);

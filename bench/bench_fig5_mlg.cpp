@@ -13,18 +13,19 @@
 int main() {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   const GenSpec spec = suiteSpec("mms_adaptec1s");
   PlacementDB db = generateCircuit(spec);
-  quadraticInitialPlace(db);
+  quadraticInitialPlace(db, ctx);
   {
-    GlobalPlacer gp(db, db.movable(), {});
+    GlobalPlacer gp(db, db.movable(), {}, ctx);
     gp.makeFillersFromDb();
     gp.run();
   }
 
-  plotLayout(db, "fig5_before.ppm");
-  const MlgResult res = legalizeMacros(db);
-  plotLayout(db, "fig5_after.ppm");
+  plotLayout(db, "fig5_before.ppm", ctx);
+  const MlgResult res = legalizeMacros(db, ctx);
+  plotLayout(db, "fig5_after.ppm", ctx);
 
   std::printf("=== Fig. 5: mLG before/after (mms_adaptec1s) ===\n");
   std::printf("%-8s %12s %12s %12s\n", "", "W(HPWL)", "D(cover)", "Om");

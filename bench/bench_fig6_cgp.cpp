@@ -13,19 +13,20 @@
 int main() {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   const GenSpec spec = suiteSpec("mms_adaptec1s");
   PlacementDB db = generateCircuit(spec);
-  quadraticInitialPlace(db);
+  quadraticInitialPlace(db, ctx);
 
   FillerSet fillers;
   GpResult mgpRes;
   {
-    GlobalPlacer gp(db, db.movable(), {});
+    GlobalPlacer gp(db, db.movable(), {}, ctx);
     gp.makeFillersFromDb();
     mgpRes = gp.run();
     fillers = gp.fillers();
   }
-  legalizeMacros(db);
+  legalizeMacros(db, ctx);
   for (auto& o : db.objects) {
     if (o.kind == ObjKind::kMacro) o.fixed = true;
   }
@@ -35,7 +36,7 @@ int main() {
   const int m = std::max(1, mgpRes.iterations / 10);
   cfg.initialLambda =
       mgpRes.finalLambda * std::pow(kLambdaMultMax, -static_cast<double>(m));
-  GlobalPlacer cgp(db, db.movable(), cfg);
+  GlobalPlacer cgp(db, db.movable(), cfg, ctx);
   cgp.setFillers(fillers);
   cgp.runFillerOnly(20);
 
@@ -43,7 +44,7 @@ int main() {
   const double oBefore = gridOverlapArea(db, false, 256, 256);
   auto plotWithFillers = [&](const char* path) {
     const auto& f = cgp.fillers();
-    plotLayout(db, path, f.cx, f.cy, std::vector<double>(f.size(), f.w),
+    plotLayout(db, path, ctx, f.cx, f.cy, std::vector<double>(f.size(), f.w),
                std::vector<double>(f.size(), f.h));
   };
   plotWithFillers("fig6_before.ppm");
@@ -60,7 +61,8 @@ int main() {
               oAfter, res.iterations);
 
   const bool shape = wAfter < 1.05 * wBefore && res.finalOverflow <= 0.12;
-  std::printf("shape check (W roughly kept or reduced, tau back to <=0.1): %s\n",
+  std::printf(
+      "shape check (W roughly kept or reduced, tau back to <=0.1): %s\n",
               shape ? "PASS" : "FAIL");
   std::printf("paper Fig. 6: W 64.36e6 -> 63.04e6 in 51 iterations with "
               "overlap essentially unchanged.\n");

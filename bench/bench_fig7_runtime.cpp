@@ -10,6 +10,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = mmsSuite();
   if (fastMode(argc, argv)) suite.resize(4);
 
@@ -17,7 +18,7 @@ int main(int argc, char** argv) {
   double inner[3] = {};  // density, wirelength, other
   for (const auto& spec : suite) {
     PlacementDB db = generateCircuit(spec);
-    const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+    const FlowResult res = *runSupervisedFlow(db, {}, ctx, plainPolicy());
     stage[0] += res.mip.seconds;
     stage[1] += res.mgp.seconds;
     for (const LevelMetrics& lm : res.mgpLevels) stage[1] += lm.metrics.seconds;

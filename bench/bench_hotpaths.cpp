@@ -46,6 +46,7 @@
 #include "model/netlist.h"
 #include "model/placement_view.h"
 #include "qp/initial_place.h"
+#include "util/context.h"
 #include "util/io.h"
 #include "util/jsonlite.h"
 #include "util/parallel.h"
@@ -124,6 +125,7 @@ JsonValue timedRow(const std::string& name, int threads, int calls,
 }  // namespace
 
 int main(int argc, char** argv) {
+  RuntimeContext ctx;
   bool smoke = false;
   std::string kernelRecordPath;  // --kernel-record <path>: kernels-only mode
   for (int i = 1; i < argc; ++i) {
@@ -158,7 +160,7 @@ int main(int argc, char** argv) {
   spec.numCells = cells;
   spec.seed = 42;
   PlacementDB db = generateCircuit(spec);
-  quadraticInitialPlace(db);
+  quadraticInitialPlace(db, ctx);
 
   const auto movables = db.movable();
   const std::size_t nVars = movables.size();

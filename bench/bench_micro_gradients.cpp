@@ -7,11 +7,13 @@
 #include "density/electro.h"
 #include "gen/generator.h"
 #include "qp/initial_place.h"
+#include "util/context.h"
 #include "wirelength/wl.h"
 
 namespace {
 
 struct Fixture {
+  ep::RuntimeContext ctx;
   ep::PlacementDB db;
   std::vector<std::int32_t> objToVar;
   std::vector<double> x, y, w, h, gx, gy;
@@ -22,7 +24,7 @@ struct Fixture {
     spec.numCells = cells;
     spec.seed = cells;
     db = ep::generateCircuit(spec);
-    ep::quadraticInitialPlace(db);
+    ep::quadraticInitialPlace(db, ctx);
     objToVar.assign(db.objects.size(), -1);
     std::int32_t v = 0;
     for (auto i : db.movable()) {

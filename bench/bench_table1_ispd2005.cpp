@@ -13,6 +13,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = ispd2005Suite();
   if (fastMode(argc, argv)) suite.resize(3);
 
@@ -22,8 +23,8 @@ int main(int argc, char** argv) {
 
   std::vector<double> hp[4], rt[4];
   for (const auto& spec : suite) {
-    const RunMetrics m[4] = {runMinCut(spec), runQuadratic(spec),
-                             runBell(spec), runEplace(spec)};
+    const RunMetrics m[4] = {runMinCut(spec, ctx), runQuadratic(spec, ctx),
+                             runBell(spec, ctx), runEplace(spec, ctx)};
     for (int p = 0; p < 4; ++p) {
       hp[p].push_back(m[p].hpwl);
       rt[p].push_back(m[p].seconds);

@@ -12,6 +12,7 @@
 int main(int argc, char** argv) {
   using namespace ep;
   using namespace ep::bench;
+  RuntimeContext ctx;
   auto suite = mmsSuite();
   if (fastMode(argc, argv)) suite.resize(3);
 
@@ -22,8 +23,8 @@ int main(int argc, char** argv) {
   std::vector<double> shp[4], rt[4], ovf[4];
   int eplaceBest = 0;
   for (const auto& spec : suite) {
-    const RunMetrics m[4] = {runMinCut(spec), runQuadratic(spec),
-                             runBell(spec), runEplace(spec)};
+    const RunMetrics m[4] = {runMinCut(spec, ctx), runQuadratic(spec, ctx),
+                             runBell(spec, ctx), runEplace(spec, ctx)};
     for (int p = 0; p < 4; ++p) {
       shp[p].push_back(m[p].scaledHpwl);
       rt[p].push_back(m[p].seconds);

@@ -19,6 +19,7 @@
 #include "legal/legalize.h"
 #include "legal/mlg.h"
 #include "qp/initial_place.h"
+#include "util/context.h"
 #include "util/timer.h"
 #include "wirelength/wl.h"
 
@@ -33,17 +34,18 @@ struct RunMetrics {
 };
 
 /// Finish a baseline global placement: legalize macros (if any movable),
-/// freeze them, then legalize + detail-place the cells.
-inline void finishBaseline(PlacementDB& db) {
+/// freeze them, then legalize + detail-place the cells. Every helper here
+/// runs on the caller's context.
+inline void finishBaseline(PlacementDB& db, RuntimeContext& ctx) {
   if (db.numMovableMacros() > 0) {
-    legalizeMacros(db);
+    legalizeMacros(db, ctx);
     for (auto& o : db.objects) {
       if (o.kind == ObjKind::kMacro) o.fixed = true;
     }
     db.finalize();
   }
-  legalizeCells(db);
-  detailPlace(db);
+  legalizeCells(db, ctx);
+  detailPlace(db, ctx);
 }
 
 inline RunMetrics measure(const PlacementDB& db, double seconds) {
@@ -56,35 +58,35 @@ inline RunMetrics measure(const PlacementDB& db, double seconds) {
   return m;
 }
 
-inline RunMetrics runEplace(const GenSpec& spec) {
+inline RunMetrics runEplace(const GenSpec& spec, RuntimeContext& ctx) {
   PlacementDB db = generateCircuit(spec);
   Timer t;
-  runSupervisedFlow(db, {}, plainPolicy());
+  runSupervisedFlow(db, {}, ctx, plainPolicy());
   return measure(db, t.seconds());
 }
 
-inline RunMetrics runMinCut(const GenSpec& spec) {
+inline RunMetrics runMinCut(const GenSpec& spec, RuntimeContext& ctx) {
   PlacementDB db = generateCircuit(spec);
   Timer t;
-  minCutPlace(db);
-  finishBaseline(db);
+  minCutPlace(db, ctx);
+  finishBaseline(db, ctx);
   return measure(db, t.seconds());
 }
 
-inline RunMetrics runQuadratic(const GenSpec& spec) {
+inline RunMetrics runQuadratic(const GenSpec& spec, RuntimeContext& ctx) {
   PlacementDB db = generateCircuit(spec);
   Timer t;
-  quadraticPlace(db);
-  finishBaseline(db);
+  quadraticPlace(db, ctx);
+  finishBaseline(db, ctx);
   return measure(db, t.seconds());
 }
 
-inline RunMetrics runBell(const GenSpec& spec) {
+inline RunMetrics runBell(const GenSpec& spec, RuntimeContext& ctx) {
   PlacementDB db = generateCircuit(spec);
   Timer t;
-  quadraticInitialPlace(db);  // nonlinear placers also start from a QP seed
-  bellPlace(db);
-  finishBaseline(db);
+  quadraticInitialPlace(db, ctx);  // nonlinear placers start from a QP seed
+  bellPlace(db, ctx);
+  finishBaseline(db, ctx);
   return measure(db, t.seconds());
 }
 

@@ -11,9 +11,11 @@
 #include "eplace/global_placer.h"
 #include "gen/generator.h"
 #include "qp/initial_place.h"
+#include "util/context.h"
 #include "util/log.h"
 
 int main(int argc, char**) {
+  ep::RuntimeContext ctx;
   ep::GenSpec spec;
   spec.name = "trace";
   spec.numCells = 1000;
@@ -21,11 +23,11 @@ int main(int argc, char**) {
   spec.numIo = 64;
   spec.seed = 2024;
   ep::PlacementDB db = ep::generateCircuit(spec);
-  ep::quadraticInitialPlace(db);
+  ep::quadraticInitialPlace(db, ctx);
 
   ep::GpConfig cfg;
   cfg.maxIterations = 600;
-  ep::GlobalPlacer gp(db, db.movable(), cfg);
+  ep::GlobalPlacer gp(db, db.movable(), cfg, ctx);
   gp.makeFillersFromDb();
   gp.run([](const ep::GpIterTrace& t) {
     if (t.iter % 20 == 0) {

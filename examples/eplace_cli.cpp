@@ -91,28 +91,25 @@ bool readManifest(const std::string& path, std::vector<ep::BatchItem>* out) {
   return true;
 }
 
-int place(ep::RuntimeContext& ctx, ep::PlacementDB& db,
-          const ep::FlowConfig& cfg, const std::string& outDir,
-          const std::string& plotPath, bool supervised,
-          const ep::SupervisorConfig& sup, const std::string& recordOut) {
-  ep::SupervisorReport report;
-  const ep::StatusOr<ep::FlowResult> run = ep::runSupervisedFlow(
-      db, cfg, supervised ? sup : ep::plainPolicy(), &report, &ctx);
+int place(ep::PlacerSession& session, const std::string& outDir,
+          const std::string& plotPath, const std::string& recordOut) {
+  ep::RuntimeContext& ctx = session.context();
+  const ep::PlacementDB& db = session.db();
+  const ep::StatusOr<ep::FlowResult> run = session.place();
   if (!run.ok()) {
     std::fprintf(stderr, "error: %s\n", run.status().toString().c_str());
     return exitCodeFor(run.status().code());
   }
   if (!recordOut.empty()) {
-    const ep::RunRecord rec =
-        ep::buildRunRecord(db, *run, report, &ctx, supervised);
-    const ep::Status wr = ep::writeRunRecordFile(recordOut, rec, &ctx.faults());
+    const ep::Status wr =
+        ep::writeRunRecordFile(recordOut, *session.record(), &ctx.faults());
     if (!wr.ok()) {
       std::fprintf(stderr, "record write failed: %s\n", wr.toString().c_str());
       return exitCodeFor(wr.code());
     }
     std::printf("wrote %s\n", recordOut.c_str());
   }
-  std::printf("%s\n", report.summary().c_str());
+  std::printf("%s\n", session.report().summary().c_str());
   const ep::FlowResult& res = *run;
   std::printf("%s: HPWL %.6g (scaled %.6g), overflow %.4f, legal=%s, %.2fs\n",
               db.name.c_str(), res.finalHpwl, res.finalScaledHpwl,
@@ -133,7 +130,7 @@ int place(ep::RuntimeContext& ctx, ep::PlacementDB& db,
     std::printf("wrote %s/%s_placed.{aux,nodes,nets,pl,scl,wts}\n",
                 outDir.c_str(), db.name.c_str());
   }
-  if (!plotPath.empty() && ep::plotLayout(db, plotPath, {}, {}, {}, {}, &ctx)) {
+  if (!plotPath.empty() && ep::plotLayout(db, plotPath, ctx)) {
     std::printf("wrote %s\n", plotPath.c_str());
   }
   if (!res.status.ok()) return exitCodeFor(res.status.code());
@@ -151,7 +148,7 @@ int main(int argc, char** argv) {
   ep::FlowConfig cfg;
   ep::SupervisorConfig sup;
   bool supervised = false;
-  // Armed on the run context once it exists (after --threads and
+  // Armed on the session's context once it exists (after --threads and
   // --log-level are known).
   std::vector<std::pair<std::string, ep::FaultSpec>> injections;
   for (int i = 1; i < argc; ++i) {
@@ -245,6 +242,13 @@ int main(int argc, char** argv) {
     sup.snapshotDir = sup.resumeDir.empty() ? "snapshots" : sup.resumeDir;
   }
 
+  ep::SessionOptions so;
+  so.threads = threads;
+  so.logLevel = logLevel;
+  so.flow = cfg;
+  so.supervised = supervised;
+  so.sup = sup;
+
   // --- batch mode: N designs, K concurrent sessions -------------------------
   if (!batchPath.empty()) {
     std::vector<ep::BatchItem> items;
@@ -265,10 +269,7 @@ int main(int argc, char** argv) {
     ep::BatchOptions opt;
     opt.maxConcurrentSessions = sessions;
     opt.totalThreads = threads;
-    opt.session.logLevel = logLevel;
-    opt.session.flow = cfg;
-    opt.session.supervised = supervised;
-    opt.session.sup = sup;
+    opt.session = so;
     opt.snapshotRoot = sup.snapshotDir;  // per-session subdirectories
     std::printf("batch: %zu designs, %d sessions in flight\n", items.size(),
                 opt.maxConcurrentSessions);
@@ -304,17 +305,14 @@ int main(int argc, char** argv) {
     return exit;
   }
 
-  ep::RuntimeOptions ro;
-  ro.threads = threads;
-  ro.logLevel = logLevel;
-  ep::RuntimeContext ctx(ro);
+  // --- one design: the same PlacerSession load/place/record path ----------
+  ep::PlacerSession session(so);
   for (const auto& [site, spec] : injections) {
-    ctx.faults().arm(site, spec);
+    session.context().faults().arm(site, spec);
     std::printf("armed fault: %s tick=%ld count=%d\n", site.c_str(),
                 spec.atTick, spec.count);
   }
 
-  ep::PlacementDB db;
   if (aux.empty()) {
     // Demo mode: generate -> write -> read back -> place.
     std::printf("no .aux given; running the round-trip demo\n");
@@ -334,17 +332,18 @@ int main(int argc, char** argv) {
     if (outDir.empty()) outDir = "cli_demo";
   }
 
-  const ep::Status rd = ep::readBookshelf(aux, db, &ctx);
+  const ep::Status rd = session.load(aux);
   if (!rd.ok()) {
     std::fprintf(stderr, "cannot read %s: %s\n", aux.c_str(),
                  rd.toString().c_str());
     return exitCodeFor(rd.code());
   }
+  ep::PlacementDB& db = session.db();
   if (density > 0.0) db.targetDensity = density;
   std::printf("loaded %s: %zu objects (%zu movable), %zu nets, region %.0f x "
               "%.0f, rho_t %.2f, threads %d\n",
               db.name.c_str(), db.objects.size(), db.numMovable(),
               db.nets.size(), db.region.width(), db.region.height(),
-              db.targetDensity, ctx.pool().threads());
-  return place(ctx, db, cfg, outDir, plotPath, supervised, sup, recordOut);
+              db.targetDensity, session.context().threadCount());
+  return place(session, outDir, plotPath, recordOut);
 }

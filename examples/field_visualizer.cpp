@@ -14,15 +14,17 @@
 #include "eval/plot.h"
 #include "gen/generator.h"
 #include "qp/initial_place.h"
+#include "util/context.h"
 
 int main() {
+  ep::RuntimeContext ctx;
   ep::GenSpec spec;
   spec.name = "fieldviz";
   spec.numCells = 1200;
   spec.numFixedMacros = 4;
   spec.seed = 31;
   ep::PlacementDB db = ep::generateCircuit(spec);
-  ep::quadraticInitialPlace(db);  // dense pile: strongest fields
+  ep::quadraticInitialPlace(db, ctx);  // dense pile: strongest fields
 
   const std::size_t m = 128;
   ep::ElectroDensity ed(db.region, m, m, db.targetDensity);
@@ -44,9 +46,9 @@ int main() {
     mag[b] = std::hypot(ex[b], ey[b]);
   }
 
-  bool ok = ep::plotScalarMap(ed.density(), m, m, "field_rho.ppm") &&
-            ep::plotScalarMap(ed.potential(), m, m, "field_psi.ppm") &&
-            ep::plotScalarMap(mag, m, m, "field_mag.ppm");
+  bool ok = ep::plotScalarMap(ed.density(), m, m, "field_rho.ppm", ctx) &&
+            ep::plotScalarMap(ed.potential(), m, m, "field_psi.ppm", ctx) &&
+            ep::plotScalarMap(mag, m, m, "field_mag.ppm", ctx);
   std::printf("density energy N(v) = %.6g\n", ed.energy());
   std::printf("wrote field_rho.ppm, field_psi.ppm, field_mag.ppm: %s\n",
               ok ? "ok" : "FAILED");

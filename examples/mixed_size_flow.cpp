@@ -11,10 +11,11 @@
 #include "eval/metrics.h"
 #include "eval/plot.h"
 #include "gen/generator.h"
-#include "util/log.h"
+#include "util/context.h"
 
 int main() {
-  ep::setLogLevel(ep::LogLevel::kInfo);
+  ep::RuntimeContext ctx;
+  ctx.log().setLevel(ep::LogLevel::kInfo);
 
   ep::GenSpec spec;
   spec.name = "mixed_size_demo";
@@ -39,8 +40,9 @@ int main() {
     }
   };
 
-  const ep::FlowResult res = *ep::runSupervisedFlow(db, cfg, ep::plainPolicy());
-  ep::plotLayout(db, "mixed_size_final.ppm");
+  const ep::FlowResult res = *ep::runSupervisedFlow(
+      db, cfg, ctx, ep::plainPolicy());
+  ep::plotLayout(db, "mixed_size_final.ppm", ctx);
 
   std::printf("\nstage summary:\n");
   auto stage = [](const char* name, const ep::StageMetrics& m) {

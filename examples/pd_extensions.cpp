@@ -8,10 +8,11 @@
 #include "gen/generator.h"
 #include "route/routability.h"
 #include "timing/timing_driven.h"
-#include "util/log.h"
+#include "util/context.h"
 
 int main() {
-  ep::setLogLevel(ep::LogLevel::kInfo);
+  ep::RuntimeContext ctx;
+  ctx.log().setLevel(ep::LogLevel::kInfo);
 
   // --- Timing-driven placement ---
   {
@@ -24,7 +25,7 @@ int main() {
     ep::TimingDrivenConfig cfg;
     cfg.clockFactor = 0.9;  // clock 10% tighter than the seed critical path
     cfg.rounds = 2;
-    const ep::TimingDrivenResult res = ep::timingDrivenPlace(db, cfg);
+    const ep::TimingDrivenResult res = ep::timingDrivenPlace(db, ctx, cfg);
     std::printf(
         "timing-driven: clock %.4g | WNS %.4g -> %.4g | critical path "
         "%.4g -> %.4g | HPWL %+.2f%% | legal=%s\n",
@@ -41,9 +42,9 @@ int main() {
     spec.locality = 0.9;  // tight clusters create congestion knots
     spec.seed = 52;
     ep::PlacementDB db = ep::generateCircuit(spec);
-    ep::runSupervisedFlow(db, {}, ep::plainPolicy());
+    ep::runSupervisedFlow(db, {}, ctx, ep::plainPolicy());
 
-    const ep::RoutabilityResult res = ep::routabilityDrivenRefine(db);
+    const ep::RoutabilityResult res = ep::routabilityDrivenRefine(db, ctx);
     std::printf(
         "routability: hotspot %.4g -> %.4g | peak %.4g -> %.4g | HPWL "
         "%+.2f%% | rounds %d | legal=%s\n",

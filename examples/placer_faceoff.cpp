@@ -18,6 +18,7 @@
 #include "legal/legalize.h"
 #include "legal/mlg.h"
 #include "qp/initial_place.h"
+#include "util/context.h"
 #include "util/timer.h"
 #include "wirelength/wl.h"
 
@@ -29,16 +30,16 @@ struct Row {
   bool legal;
 };
 
-void finish(ep::PlacementDB& db) {
+void finish(ep::PlacementDB& db, ep::RuntimeContext& ctx) {
   if (db.numMovableMacros() > 0) {
-    ep::legalizeMacros(db);
+    ep::legalizeMacros(db, ctx);
     for (auto& o : db.objects) {
       if (o.kind == ep::ObjKind::kMacro) o.fixed = true;
     }
     db.finalize();
   }
-  ep::legalizeCells(db);
-  ep::detailPlace(db);
+  ep::legalizeCells(db, ctx);
+  ep::detailPlace(db, ctx);
 }
 
 Row measure(const char* name, ep::PlacementDB& db, double seconds) {
@@ -53,6 +54,7 @@ Row measure(const char* name, ep::PlacementDB& db, double seconds) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  ep::RuntimeContext ctx;
   ep::GenSpec spec;
   spec.name = "faceoff";
   spec.numCells = argc > 1 ? std::strtoul(argv[1], nullptr, 10) : 1500;
@@ -68,29 +70,29 @@ int main(int argc, char** argv) {
   {
     ep::PlacementDB db = ep::generateCircuit(spec);
     ep::Timer t;
-    ep::minCutPlace(db);
-    finish(db);
+    ep::minCutPlace(db, ctx);
+    finish(db, ctx);
     rows.push_back(measure("min-cut (Capo-like)", db, t.seconds()));
   }
   {
     ep::PlacementDB db = ep::generateCircuit(spec);
     ep::Timer t;
-    ep::quadraticPlace(db);
-    finish(db);
+    ep::quadraticPlace(db, ctx);
+    finish(db, ctx);
     rows.push_back(measure("quadratic (FastPlace-like)", db, t.seconds()));
   }
   {
     ep::PlacementDB db = ep::generateCircuit(spec);
     ep::Timer t;
-    ep::quadraticInitialPlace(db);
-    ep::bellPlace(db);
-    finish(db);
+    ep::quadraticInitialPlace(db, ctx);
+    ep::bellPlace(db, ctx);
+    finish(db, ctx);
     rows.push_back(measure("bell-shape CG (APlace-like)", db, t.seconds()));
   }
   {
     ep::PlacementDB db = ep::generateCircuit(spec);
     ep::Timer t;
-    ep::runSupervisedFlow(db, {}, ep::plainPolicy());
+    ep::runSupervisedFlow(db, {}, ctx, ep::plainPolicy());
     rows.push_back(measure("ePlace", db, t.seconds()));
   }
 

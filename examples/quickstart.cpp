@@ -9,10 +9,11 @@
 #include "eplace/supervisor.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
-#include "util/log.h"
+#include "util/context.h"
 
 int main() {
-  ep::setLogLevel(ep::LogLevel::kInfo);
+  ep::RuntimeContext ctx;
+  ctx.log().setLevel(ep::LogLevel::kInfo);
 
   // A small mixed-size instance: 1000 std cells, 6 movable macros, IO pads.
   ep::GenSpec spec;
@@ -28,7 +29,8 @@ int main() {
               db.region.height());
 
   ep::FlowConfig cfg;
-  const ep::FlowResult res = *ep::runSupervisedFlow(db, cfg, ep::plainPolicy());
+  const ep::FlowResult res = *ep::runSupervisedFlow(
+      db, cfg, ctx, ep::plainPolicy());
 
   auto stage = [](const char* name, const ep::StageMetrics& m) {
     if (!m.ran) return;

@@ -169,9 +169,8 @@ struct BellEngine {
 
 }  // namespace
 
-BellPlaceResult bellPlace(PlacementDB& db, const BellPlaceConfig& cfg,
-                          RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+BellPlaceResult bellPlace(PlacementDB& db, RuntimeContext& rc,
+                          const BellPlaceConfig& cfg) {
   BellPlaceResult res;
   const auto& movable = db.movable();
   const std::size_t n = movable.size();

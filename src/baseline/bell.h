@@ -33,7 +33,7 @@ struct BellPlaceResult {
 };
 
 /// Globally places all movables of `db` (cells and macros alike).
-BellPlaceResult bellPlace(PlacementDB& db, const BellPlaceConfig& cfg = {},
-                          RuntimeContext* ctx = nullptr);
+BellPlaceResult bellPlace(PlacementDB& db, RuntimeContext& ctx,
+                          const BellPlaceConfig& cfg = {});
 
 }  // namespace ep

@@ -38,8 +38,7 @@ double freeCapacity(const PlacementDB& db, const Rect& r) {
 
 }  // namespace
 
-MinCutResult minCutPlace(PlacementDB& db, RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+MinCutResult minCutPlace(PlacementDB& db, RuntimeContext& rc) {
   MinCutResult res;
   Rng rng(kSeed);
 
@@ -64,6 +63,8 @@ MinCutResult minCutPlace(PlacementDB& db, RuntimeContext* ctx) {
   // Net-visited stamp to deduplicate nets per task.
   std::vector<std::int32_t> netStamp(db.nets.size(), -1);
   std::int32_t stamp = 0;
+  // Local id of each db object in the current task, reused across tasks.
+  std::vector<std::int32_t> lookup;
 
   while (!queue.empty()) {
     Task task = std::move(queue.front());
@@ -110,8 +111,6 @@ MinCutResult minCutPlace(PlacementDB& db, RuntimeContext* ctx) {
     FmProblem fm;
     const std::size_t nLocal = task.objs.size();
     fm.areas.resize(nLocal + 2);
-    // Local id lookup via a dense map over db objects, reused across tasks.
-    static thread_local std::vector<std::int32_t> lookup;
     lookup.assign(db.objects.size(), -1);
     for (std::size_t k = 0; k < nLocal; ++k) {
       lookup[static_cast<std::size_t>(task.objs[k])] =

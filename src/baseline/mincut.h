@@ -20,6 +20,6 @@ struct MinCutResult {
 
 /// Places all movable objects of `db` (cells and macros alike). Overlap is
 /// expected at leaf granularity; legalize afterwards.
-MinCutResult minCutPlace(PlacementDB& db, RuntimeContext* ctx = nullptr);
+MinCutResult minCutPlace(PlacementDB& db, RuntimeContext& ctx);
 
 }  // namespace ep

@@ -123,10 +123,8 @@ std::vector<double> spreadAxis(const PlacementDB& db,
 
 }  // namespace
 
-QuadraticPlaceResult quadraticPlace(PlacementDB& db,
-                                    const QuadraticPlaceConfig& cfg,
-                                    RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+QuadraticPlaceResult quadraticPlace(PlacementDB& db, RuntimeContext& rc,
+                                    const QuadraticPlaceConfig& cfg) {
   QuadraticPlaceResult res;
   const auto& movable = db.movable();
   const auto n = static_cast<std::int32_t>(movable.size());

@@ -26,8 +26,7 @@ struct QuadraticPlaceResult {
 };
 
 /// Globally places all movables of `db` (cells and macros alike).
-QuadraticPlaceResult quadraticPlace(PlacementDB& db,
-                                    const QuadraticPlaceConfig& cfg = {},
-                                    RuntimeContext* ctx = nullptr);
+QuadraticPlaceResult quadraticPlace(PlacementDB& db, RuntimeContext& ctx,
+                                    const QuadraticPlaceConfig& cfg = {});
 
 }  // namespace ep

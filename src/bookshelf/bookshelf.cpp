@@ -624,8 +624,7 @@ Status readBookshelfImpl(const std::string& auxPath, PlacementDB& db,
 }  // namespace
 
 StatusOr<BookshelfCounts> scanBookshelfCounts(const std::string& auxPath,
-                                              RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+                                              RuntimeContext& rc) {
   try {
     return scanBookshelfCountsImpl(auxPath, rc);
   } catch (const std::exception& e) {
@@ -637,8 +636,7 @@ StatusOr<BookshelfCounts> scanBookshelfCounts(const std::string& auxPath,
 }
 
 Status readBookshelf(const std::string& auxPath, PlacementDB& db,
-                     RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+                     RuntimeContext& rc) {
   // The parser itself is exception-free; the catch is a last-resort seam so
   // a freak allocation failure on a corrupt file surfaces as a status, not
   // a crash.
@@ -653,19 +651,18 @@ Status readBookshelf(const std::string& auxPath, PlacementDB& db,
 }
 
 Status writeBookshelf(const std::string& dir, const std::string& base,
-                      const PlacementDB& db, RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+                      const PlacementDB& db) {
   const std::string prefix = dir + "/" + base;
 
   {
     std::ofstream out(prefix + ".aux");
-    if (!out) return ioFail(rc, "cannot write " + prefix + ".aux");
+    if (!out) return Status::ioError("cannot write " + prefix + ".aux");
     out << "RowBasedPlacement : " << base << ".nodes " << base << ".nets "
         << base << ".wts " << base << ".pl " << base << ".scl\n";
   }
   {
     std::ofstream out(prefix + ".nodes");
-    if (!out) return ioFail(rc, "cannot write " + prefix + ".nodes");
+    if (!out) return Status::ioError("cannot write " + prefix + ".nodes");
     out << std::setprecision(15);
     out << "UCLA nodes 1.0\n\n";
     std::size_t terminals = 0;
@@ -679,7 +676,7 @@ Status writeBookshelf(const std::string& dir, const std::string& base,
   }
   {
     std::ofstream out(prefix + ".nets");
-    if (!out) return ioFail(rc, "cannot write " + prefix + ".nets");
+    if (!out) return Status::ioError("cannot write " + prefix + ".nets");
     out << std::setprecision(15);
     out << "UCLA nets 1.0\n\n";
     std::size_t pins = 0;
@@ -699,7 +696,7 @@ Status writeBookshelf(const std::string& dir, const std::string& base,
   }
   {
     std::ofstream out(prefix + ".wts");
-    if (!out) return ioFail(rc, "cannot write " + prefix + ".wts");
+    if (!out) return Status::ioError("cannot write " + prefix + ".wts");
     out << std::setprecision(15);
     out << "UCLA wts 1.0\n\n";
     for (const auto& n : db.nets) {
@@ -708,7 +705,7 @@ Status writeBookshelf(const std::string& dir, const std::string& base,
   }
   {
     std::ofstream out(prefix + ".pl");
-    if (!out) return ioFail(rc, "cannot write " + prefix + ".pl");
+    if (!out) return Status::ioError("cannot write " + prefix + ".pl");
     out << std::setprecision(15);
     out << "UCLA pl 1.0\n\n";
     for (const auto& o : db.objects) {
@@ -718,7 +715,7 @@ Status writeBookshelf(const std::string& dir, const std::string& base,
   }
   {
     std::ofstream out(prefix + ".scl");
-    if (!out) return ioFail(rc, "cannot write " + prefix + ".scl");
+    if (!out) return Status::ioError("cannot write " + prefix + ".scl");
     out << std::setprecision(15);
     out << "UCLA scl 1.0\n\n";
     out << "NumRows : " << db.rows.size() << "\n";

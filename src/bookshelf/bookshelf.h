@@ -56,7 +56,7 @@ struct BookshelfCounts {
 /// beyond a line buffer. kIo when a listed file cannot be opened.
 /// Serving uses this for capacity-estimated admission of Bookshelf jobs.
 StatusOr<BookshelfCounts> scanBookshelfCounts(const std::string& auxPath,
-                                              RuntimeContext* ctx = nullptr);
+                                              RuntimeContext& ctx);
 
 /// Reads `<aux>` (path to the .aux file) and fills `db` (finalized).
 /// Object kinds: terminals with row-sized height stay kIo, larger ones are
@@ -65,13 +65,13 @@ StatusOr<BookshelfCounts> scanBookshelfCounts(const std::string& auxPath,
 /// against `ctx`'s MemoryBudget for the duration of assembly
 /// (kResourceExhausted when the instance cannot fit a budgeted job;
 /// kInvalidInput when counts exceed the 32-bit index space).
-/// `ctx` supplies the log sink and the "bookshelf.line" fault site;
-/// nullptr resolves to the process-default context.
+/// `ctx` supplies the log sink and the "bookshelf.line" fault site.
 Status readBookshelf(const std::string& auxPath, PlacementDB& db,
-                     RuntimeContext* ctx = nullptr);
+                     RuntimeContext& ctx);
 
-/// Writes db as `<dir>/<base>.{aux,nodes,nets,pl,scl,wts}`.
+/// Writes db as `<dir>/<base>.{aux,nodes,nets,pl,scl,wts}`. kIo names the
+/// file that could not be written.
 Status writeBookshelf(const std::string& dir, const std::string& base,
-                      const PlacementDB& db, RuntimeContext* ctx = nullptr);
+                      const PlacementDB& db);
 
 }  // namespace ep

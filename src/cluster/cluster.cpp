@@ -200,7 +200,7 @@ ClusterLevel buildOneLevel(const PlacementDB& fine, int levelIndex,
 StatusOr<ClusterLadder> buildClusterLadder(const PlacementDB& db,
                                            const ClusterConfig& cfg,
                                            RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+  RuntimeContext& rc = *ctx;
   if (const Status v = db.validate(); !v.ok()) {
     return Status::invalidInput("buildClusterLadder: " + v.message());
   }

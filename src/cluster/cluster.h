@@ -73,11 +73,14 @@ struct ClusterLadder {
 
 /// Builds the ladder from a finalized, sanitized instance. Deterministic:
 /// depends only on `db` and `cfg`, never on thread count or wall clock.
-/// `ctx` supplies the log sink and stats registry (nullptr = process
-/// default). Fails with kInvalidInput when `db` is not finalized/valid.
+/// `ctx` supplies the log sink and stats registry and must be non-null; it
+/// stays a pointer, unlike every other entry point's `RuntimeContext&`,
+/// only because the repository benchmark calls this with `&s.context()`
+/// and its sources change only with the benchmark. Fails with
+/// kInvalidInput when `db` is not finalized/valid.
 StatusOr<ClusterLadder> buildClusterLadder(const PlacementDB& db,
-                                           const ClusterConfig& cfg = {},
-                                           RuntimeContext* ctx = nullptr);
+                                           const ClusterConfig& cfg,
+                                           RuntimeContext* ctx);
 
 /// Seeds fine-level positions from the coarse placement of `level`:
 /// single-member coarse objects copy their position bit-exactly, clusters

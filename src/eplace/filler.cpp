@@ -10,8 +10,7 @@
 namespace ep {
 
 FillerSet makeFillers(const PlacementDB& db, std::uint64_t seed,
-                      RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+                      RuntimeContext& rc) {
   FillerSet fillers;
 
   const double movableArea = db.totalMovableArea();

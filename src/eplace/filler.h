@@ -29,6 +29,6 @@ struct FillerSet {
 /// sized from the average area of the middle 80% of movable cells; positions
 /// are uniform random inside the region (deterministic per seed).
 FillerSet makeFillers(const PlacementDB& db, std::uint64_t seed,
-                      RuntimeContext* ctx = nullptr);
+                      RuntimeContext& ctx);
 
 }  // namespace ep

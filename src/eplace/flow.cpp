@@ -26,13 +26,13 @@ StageMetrics flowStageMetrics(const PlacementDB& db, double seconds,
 
 void flowStageMip(PlacementDB& db, FlowState& st) {
   Timer t;
-  quadraticInitialPlace(db, st.ctx);
+  quadraticInitialPlace(db, *st.ctx);
   st.res.mip = flowStageMetrics(db, t.seconds(), kMipOuterIterations);
 }
 
 void flowStageMgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   Timer t;
-  GlobalPlacer mgp(db, db.movable(), st.cfg.gp, st.ctx);
+  GlobalPlacer mgp(db, db.movable(), st.cfg.gp, *st.ctx);
   if (ctl.resume != nullptr && st.fillers.size() > 0) {
     // Resumed mid-mGP: the checkpoint carries the filler set (positions are
     // inside the optimizer state; dims/count must match the engine).
@@ -54,7 +54,7 @@ void flowStageMgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
 
 void flowStageMlg(PlacementDB& db, FlowState& st) {
   Timer t;
-  st.res.mlgResult = legalizeMacros(db, st.cfg.mlg, st.ctx);
+  st.res.mlgResult = legalizeMacros(db, *st.ctx, st.cfg.mlg);
   st.res.mlg =
       flowStageMetrics(db, t.seconds(), st.res.mlgResult.outerIterations);
 }
@@ -72,7 +72,7 @@ void flowStageCgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
   const int m = std::max(1, st.res.mgpResult.iterations / kCgpBufferDivisor);
   gpc.initialLambda = st.res.mgpResult.finalLambda *
                       std::pow(kLambdaMultMax, -static_cast<double>(m));
-  GlobalPlacer cgp(db, db.movable(), gpc, st.ctx);
+  GlobalPlacer cgp(db, db.movable(), gpc, *st.ctx);
   cgp.setFillers(st.fillers);
   if (st.cfg.enableFillerOnly && ctl.resume == nullptr) {
     cgp.runFillerOnly(kFillerOnlyIterations);
@@ -88,8 +88,8 @@ void flowStageCgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl) {
 
 void flowStageCdp(PlacementDB& db, FlowState& st) {
   Timer t;
-  st.res.legalizeResult = legalizeCells(db, st.ctx);
-  st.res.detailResult = detailPlace(db, st.cfg.detail, st.ctx);
+  st.res.legalizeResult = legalizeCells(db, *st.ctx);
+  st.res.detailResult = detailPlace(db, *st.ctx, st.cfg.detail);
   st.res.cdp = flowStageMetrics(db, t.seconds(), st.res.detailResult.passes);
 }
 
@@ -108,7 +108,7 @@ void flowFinish(PlacementDB& db, FlowState& st) {
       res.status = res.cgpResult.status;
     }
   }
-  RuntimeContext& rc = resolveContext(st.ctx);
+  RuntimeContext& rc = *st.ctx;
   rc.stats().set("flow.finalHpwl", res.finalHpwl);
   rc.stats().set("flow.totalSeconds", res.totalSeconds);
   rc.log().info(

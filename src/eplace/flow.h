@@ -90,7 +90,10 @@ struct FlowResult {
 // ---------------------------------------------------------------------------
 
 /// Mutable state threaded through the stage functions. `ctx` is borrowed
-/// (never owned) and may be nullptr, meaning the process-default context.
+/// (never owned) and must be set, non-null, before the first stage runs.
+/// It stays a pointer, not a reference, only because the repository
+/// benchmark default-constructs a FlowState and assigns `&s.context()`, and
+/// its sources change only with the benchmark.
 struct FlowState {
   FlowConfig cfg;
   FlowResult res;

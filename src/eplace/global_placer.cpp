@@ -308,14 +308,14 @@ struct GlobalPlacer::Engine {
 
 GlobalPlacer::GlobalPlacer(PlacementDB& db,
                            std::vector<std::int32_t> movables, GpConfig cfg,
-                           RuntimeContext* ctx)
-    : ctx_(resolveContext(ctx)),
+                           RuntimeContext& ctx)
+    : ctx_(ctx),
       db_(db),
       movables_(std::move(movables)),
       cfg_(cfg) {}
 
 void GlobalPlacer::makeFillersFromDb() {
-  fillers_ = makeFillers(db_, cfg_.fillerSeed, &ctx_);
+  fillers_ = makeFillers(db_, cfg_.fillerSeed, ctx_);
 }
 
 void GlobalPlacer::setFillers(FillerSet fillers) {

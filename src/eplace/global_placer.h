@@ -122,10 +122,10 @@ class GlobalPlacer {
   /// so phases must keep flags consistent — the Flow does).
   ///
   /// `ctx` supplies the thread pool, fault injector, log sink, stats
-  /// registry and wall-clock deadline; nullptr uses the process-default
-  /// context. The context must outlive the placer (borrowed, not owned).
+  /// registry and wall-clock deadline. The context must outlive the placer
+  /// (borrowed, not owned).
   GlobalPlacer(PlacementDB& db, std::vector<std::int32_t> movables,
-               GpConfig cfg, RuntimeContext* ctx = nullptr);
+               GpConfig cfg, RuntimeContext& ctx);
 
   /// Create fillers from the DB whitespace budget (mGP) …
   void makeFillersFromDb();

@@ -41,7 +41,7 @@ Status PlacerSession::load(const std::string& auxPath) {
   db_ = PlacementDB{};
   loaded_ = false;
   hasResult_ = false;
-  const Status s = readBookshelf(auxPath, db_, &ctx_);
+  const Status s = readBookshelf(auxPath, db_, ctx_);
   if (!s.ok()) return s;
   loaded_ = true;
   ctx_.log().info("session: loaded %s (%zu objects, %zu nets)",
@@ -77,11 +77,11 @@ StatusOr<FlowResult> PlacerSession::place() {
         std::to_string(db_.view().footprintBytes()) + " B)");
   }
   StatusOr<FlowResult> run = runSupervisedFlow(
-      db_, opt_.flow, opt_.supervised ? opt_.sup : plainPolicy(), &report_,
-      &ctx_);
+      db_, opt_.flow, ctx_, opt_.supervised ? opt_.sup : plainPolicy(),
+      &report_);
   if (run.ok()) {
     result_ = *run;
-    record_ = buildRunRecord(db_, result_, report_, &ctx_, opt_.supervised);
+    record_ = buildRunRecord(db_, result_, report_, ctx_, opt_.supervised);
     hasResult_ = true;
   }
   return run;

@@ -335,7 +335,7 @@ struct Supervisor {
     // The level's arena and grid are charged from the placer's
     // construction on, so a breach anywhere in the level abandons it.
     try {
-      GlobalPlacer gp(ldb, ldb.movable(), gcfg, &rc);
+      GlobalPlacer gp(ldb, ldb.movable(), gcfg, rc);
       GpRunControl ctl;
       if (resumeHere && resume.levelFillers.size() > 0) {
         gp.setFillers(resume.levelFillers);
@@ -693,7 +693,7 @@ struct Supervisor {
         appendNote(rep, "retry with jittered cells");
       }
       ++rep.attempts;
-      st.res.legalizeResult = legalizeCells(db, &rc);
+      st.res.legalizeResult = legalizeCells(db, rc);
       legalOk = legalGateOk(preHpwl);
       if (!legalOk && !budgetLeft(sup.cdp, t)) break;
     }
@@ -701,7 +701,7 @@ struct Supervisor {
       restorePositions(db, entry);
       ++rep.attempts;
       rep.fellBack = true;
-      st.res.legalizeResult = greedyLegalizeCells(db, &rc);
+      st.res.legalizeResult = greedyLegalizeCells(db, rc);
       legalOk = legalGateOk(preHpwl);
       appendNote(rep, legalOk ? "greedy fallback legalizer"
                               : "greedy fallback also failed");
@@ -720,7 +720,7 @@ struct Supervisor {
     } else {
       const auto postLegal = capturePositions(db);
       const double postLegalHpwl = hpwl(db);
-      st.res.detailResult = detailPlace(db, st.cfg.detail, &rc);
+      st.res.detailResult = detailPlace(db, rc, st.cfg.detail);
       const double after = hpwl(db);
       const bool detailOk =
           std::isfinite(after) &&
@@ -898,10 +898,9 @@ std::string SupervisorReport::summary() const {
 }
 
 StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
+                                       RuntimeContext& rc,
                                        const SupervisorConfig& sup,
-                                       SupervisorReport* report,
-                                       RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+                                       SupervisorReport* report) {
   SupervisorReport local;
   SupervisorReport& rep = report != nullptr ? *report : local;
   rep = SupervisorReport{};
@@ -909,7 +908,10 @@ StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
   const Status s = db.sanitize(&repaired);
   if (!s.ok()) return s;
   if (repaired > 0) {
-    rc.log().warn("flow: sanitize repaired %d object position(s)", repaired);
+    rc.log().warn(
+        "flow: sanitize repaired %d object(s) (clamped, recentered or "
+        "de-duplicated pads)",
+        repaired);
   }
   const Status v = db.validate();
   if (!v.ok()) return v;
@@ -946,9 +948,8 @@ StageRecord stageRecord(std::string stage, const StageMetrics& m) {
 }  // namespace
 
 RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
-                         const SupervisorReport& report, RuntimeContext* ctx,
+                         const SupervisorReport& report, RuntimeContext& rc,
                          bool supervised) {
-  RuntimeContext& rc = resolveContext(ctx);
   RunRecord rec;
   rec.name = db.name;
   rec.fingerprint = netlistFingerprint(db);

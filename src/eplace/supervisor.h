@@ -179,12 +179,11 @@ struct SupervisorReport {
 /// stage comes back as kInternal (kResourceExhausted for a memory-budget
 /// breach outside the GP degradation ladder). `ctx` supplies the thread
 /// pool, fault injector, log sink and deadline for every stage (its
-/// injector also drives the "snapshot.write" site); nullptr uses the
-/// process-default context.
+/// injector also drives the "snapshot.write" site).
 StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
+                                       RuntimeContext& ctx,
                                        const SupervisorConfig& sup = {},
-                                       SupervisorReport* report = nullptr,
-                                       RuntimeContext* ctx = nullptr);
+                                       SupervisorReport* report = nullptr);
 
 /// Assembles the structured run record (util/run_record.h) for a finished
 /// flow: per-stage metrics from `res`, retry and snapshot counts from
@@ -196,8 +195,7 @@ StatusOr<FlowResult> runSupervisedFlow(PlacementDB& db, const FlowConfig& cfg,
 /// here — not in util — because it reads PlacementDB and FlowResult, which
 /// the util layer must not know about.
 RunRecord buildRunRecord(const PlacementDB& db, const FlowResult& res,
-                         const SupervisorReport& report,
-                         RuntimeContext* ctx = nullptr,
+                         const SupervisorReport& report, RuntimeContext& ctx,
                          bool supervised = true);
 
 }  // namespace ep

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "density/bingrid.h"
 #include "wirelength/wl.h"
@@ -102,8 +101,9 @@ double pairwiseOverlapArea(const PlacementDB& db,
                            std::span<const std::int32_t> indices) {
   std::vector<std::int32_t> order(indices.begin(), indices.end());
   std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
-    return db.objects[static_cast<std::size_t>(a)].lx <
-           db.objects[static_cast<std::size_t>(b)].lx;
+    const double la = db.objects[static_cast<std::size_t>(a)].lx;
+    const double lb = db.objects[static_cast<std::size_t>(b)].lx;
+    return la < lb || (la == lb && a < b);
   });
   double total = 0.0;
   for (std::size_t i = 0; i < order.size(); ++i) {
@@ -152,10 +152,10 @@ double macroCellCoverArea(const PlacementDB& db) {
 
 LegalityReport checkLegality(const PlacementDB& db, double tol) {
   LegalityReport rep;
-  std::ostringstream issue;
 
-  auto note = [&](const std::string& s) {
-    if (rep.firstIssue.empty()) rep.firstIssue = s;
+  // `describe` builds the text, so only the first issue pays for a string.
+  auto note = [&](auto&& describe) {
+    if (rep.firstIssue.empty()) rep.firstIssue = describe();
   };
 
   const PlacementView& pv = db.view();
@@ -169,7 +169,7 @@ LegalityReport checkLegality(const PlacementDB& db, double tol) {
     if (r.lx < db.region.lx - tol || r.hx > db.region.hx + tol ||
         r.ly < db.region.ly - tol || r.hy > db.region.hy + tol) {
       ++rep.outOfRegion;
-      note("object " + o.name + " out of region");
+      note([&] { return "object " + o.name + " out of region"; });
     }
   }
 
@@ -186,19 +186,19 @@ LegalityReport checkLegality(const PlacementDB& db, double tol) {
           onRow = true;
           if (o.lx < row.lx - tol || o.lx + o.w > row.hx() + tol) {
             ++rep.outOfRegion;
-            note("cell " + o.name + " outside row span");
+            note([&] { return "cell " + o.name + " outside row span"; });
           }
           const double site = (o.lx - row.lx) / row.siteWidth;
           if (std::abs(site - std::round(site)) > 1e-4) {
             ++rep.offSite;
-            note("cell " + o.name + " off site grid");
+            note([&] { return "cell " + o.name + " off site grid"; });
           }
           break;
         }
       }
       if (!onRow) {
         ++rep.offRow;
-        note("cell " + o.name + " not aligned to any row");
+        note([&] { return "cell " + o.name + " not aligned to any row"; });
       }
     }
   }
@@ -209,8 +209,9 @@ LegalityReport checkLegality(const PlacementDB& db, double tol) {
     order[i] = static_cast<std::int32_t>(i);
   }
   std::sort(order.begin(), order.end(), [&](std::int32_t a, std::int32_t b) {
-    return db.objects[static_cast<std::size_t>(a)].lx <
-           db.objects[static_cast<std::size_t>(b)].lx;
+    const double la = db.objects[static_cast<std::size_t>(a)].lx;
+    const double lb = db.objects[static_cast<std::size_t>(b)].lx;
+    return la < lb || (la == lb && a < b);
   });
   for (std::size_t i = 0; i < order.size(); ++i) {
     const auto& oi = db.objects[static_cast<std::size_t>(order[i])];
@@ -226,7 +227,9 @@ LegalityReport checkLegality(const PlacementDB& db, double tol) {
       // Shrink by tol so abutting objects do not count as overlapping.
       if (ri.overlapArea(rj) > tol * (ri.width() + rj.width())) {
         ++rep.overlaps;
-        note("objects " + oi.name + " and " + oj.name + " overlap");
+        note([&] {
+          return "objects " + oi.name + " and " + oj.name + " overlap";
+        });
       }
     }
   }

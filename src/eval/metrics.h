@@ -54,13 +54,18 @@ struct LegalityReport {
   int outOfRegion = 0;
   int offRow = 0;
   int offSite = 0;
-  int overlaps = 0;
-  std::string firstIssue;
+  /// Overlapping pairs. 64-bit: an unspread placement (right after mIP) of
+  /// n cells has up to n(n-1)/2 of them.
+  std::int64_t overlaps = 0;
+  std::string firstIssue;  ///< the first violation found, in check order
 };
 
 /// Checks the final layout: every movable inside the region; every movable
 /// standard cell bottom-aligned to a row and left-aligned to a site; no two
-/// placed objects (movable-movable or movable-fixed) overlapping.
+/// placed objects (movable-movable or movable-fixed) overlapping. Overlaps
+/// are found by an x-sweep in (lx, index) order; the sweep is quadratic
+/// when many objects share an x-span, but only the first issue's text is
+/// ever built.
 LegalityReport checkLegality(const PlacementDB& db, double tol = 1e-6);
 
 }  // namespace ep

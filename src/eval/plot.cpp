@@ -84,11 +84,10 @@ class Canvas {
 }  // namespace
 
 bool plotScalarMap(std::span<const double> map, std::size_t nx,
-                   std::size_t ny, const std::string& path, int scale,
-                   RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+                   std::size_t ny, const std::string& path,
+                   RuntimeContext& ctx, int scale) {
   if (map.size() != nx * ny || nx == 0 || ny == 0) {
-    rc.log().warn("plotScalarMap: bad map shape for %s (%zu values, %zux%zu)",
+    ctx.log().warn("plotScalarMap: bad map shape for %s (%zu values, %zux%zu)",
                   path.c_str(), map.size(), nx, ny);
     return false;
   }
@@ -102,7 +101,7 @@ bool plotScalarMap(std::span<const double> map, std::size_t nx,
   const int h = static_cast<int>(ny) * scale;
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (!f) {
-    rc.log().warn("plotScalarMap: cannot open %s for writing", path.c_str());
+    ctx.log().warn("plotScalarMap: cannot open %s for writing", path.c_str());
     return false;
   }
   std::fprintf(f, "P6\n%d %d\n255\n", w, h);
@@ -134,10 +133,10 @@ bool plotScalarMap(std::span<const double> map, std::size_t nx,
 }
 
 bool plotLayout(const PlacementDB& db, const std::string& path,
-                std::span<const double> fillerCx,
+                RuntimeContext& ctx, std::span<const double> fillerCx,
                 std::span<const double> fillerCy,
                 std::span<const double> fillerW,
-                std::span<const double> fillerH, RuntimeContext* ctx) {
+                std::span<const double> fillerH) {
   const double aspect = db.region.height() / db.region.width();
   const int h = std::max(16, static_cast<int>(kLayoutWidth * aspect));
   Canvas canvas(kLayoutWidth, h, db.region);
@@ -162,8 +161,7 @@ bool plotLayout(const PlacementDB& db, const std::string& path,
   }
   canvas.outlineRect(db.region, kBlack);
   if (!canvas.write(path)) {
-    resolveContext(ctx).log().warn("plotLayout: cannot write %s",
-                                   path.c_str());
+    ctx.log().warn("plotLayout: cannot write %s", path.c_str());
     return false;
   }
   return true;

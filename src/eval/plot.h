@@ -19,17 +19,17 @@ class RuntimeContext;
 /// ChargeView the placer maintains). Returns false when the file cannot be
 /// written (also logged as a warning through `ctx`'s sink).
 bool plotLayout(const PlacementDB& db, const std::string& path,
-                std::span<const double> fillerCx = {},
+                RuntimeContext& ctx, std::span<const double> fillerCx = {},
                 std::span<const double> fillerCy = {},
                 std::span<const double> fillerW = {},
-                std::span<const double> fillerH = {},
-                RuntimeContext* ctx = nullptr);
+                std::span<const double> fillerH = {});
 
 /// Renders a scalar bin map (density rho, potential psi, field magnitude)
 /// as a blue->white->red heatmap, one pixel block per bin, normalized to
-/// the map's own [min, max]. Row-major nx*ny, index iy*nx+ix.
+/// the map's own [min, max]. Row-major nx*ny, index iy*nx+ix. A bad shape
+/// returns false and is logged through `ctx`'s sink.
 bool plotScalarMap(std::span<const double> map, std::size_t nx,
-                   std::size_t ny, const std::string& path, int scale = 4,
-                   RuntimeContext* ctx = nullptr);
+                   std::size_t ny, const std::string& path,
+                   RuntimeContext& ctx, int scale = 4);
 
 }  // namespace ep

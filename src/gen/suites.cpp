@@ -1,8 +1,8 @@
 #include "gen/suites.h"
 
+#include <cstdio>
 #include <cstdlib>
 
-#include "util/log.h"
 
 namespace ep {
 
@@ -144,7 +144,7 @@ GenSpec suiteSpec(const std::string& name) {
       if (s.name == name) return s;
     }
   }
-  logError("suiteSpec: unknown circuit '%s'", name.c_str());
+  std::fprintf(stderr, "suiteSpec: unknown circuit '%s'\n", name.c_str());
   std::abort();
 }
 

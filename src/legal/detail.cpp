@@ -47,9 +47,8 @@ void uniqueNetsOf(const PlacementDB& db,
 
 }  // namespace
 
-DetailResult detailPlace(PlacementDB& db, const DetailConfig& cfg,
-                         RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+DetailResult detailPlace(PlacementDB& db, RuntimeContext& rc,
+                         const DetailConfig& cfg) {
   DetailResult res;
   res.hpwlBefore = hpwl(db);
   Rng rng(kSeed);

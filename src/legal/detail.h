@@ -26,7 +26,7 @@ struct DetailResult {
 
 /// Discretely improves the legal layout of `db` in place. Requires a legal
 /// input (legalizeCells); the result stays legal.
-DetailResult detailPlace(PlacementDB& db, const DetailConfig& cfg = {},
-                         RuntimeContext* ctx = nullptr);
+DetailResult detailPlace(PlacementDB& db, RuntimeContext& ctx,
+                         const DetailConfig& cfg = {});
 
 }  // namespace ep

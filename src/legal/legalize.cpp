@@ -307,12 +307,12 @@ LegalizeResult legalizeImpl(PlacementDB& db, bool clumpToTargets,
 
 }  // namespace
 
-LegalizeResult legalizeCells(PlacementDB& db, RuntimeContext* ctx) {
-  return legalizeImpl(db, /*clumpToTargets=*/true, resolveContext(ctx));
+LegalizeResult legalizeCells(PlacementDB& db, RuntimeContext& ctx) {
+  return legalizeImpl(db, /*clumpToTargets=*/true, ctx);
 }
 
-LegalizeResult greedyLegalizeCells(PlacementDB& db, RuntimeContext* ctx) {
-  return legalizeImpl(db, /*clumpToTargets=*/false, resolveContext(ctx));
+LegalizeResult greedyLegalizeCells(PlacementDB& db, RuntimeContext& ctx) {
+  return legalizeImpl(db, /*clumpToTargets=*/false, ctx);
 }
 
 }  // namespace ep

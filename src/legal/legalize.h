@@ -24,7 +24,7 @@ struct LegalizeResult {
 /// Movable cells must have height equal to the row height (single-row
 /// cells, as in the ISPD netlists); movable macros must have been fixed by
 /// mLG beforehand.
-LegalizeResult legalizeCells(PlacementDB& db, RuntimeContext* ctx = nullptr);
+LegalizeResult legalizeCells(PlacementDB& db, RuntimeContext& ctx);
 
 /// Fallback legalizer: the same Tetris-style greedy row/segment assignment
 /// but WITHOUT the Abacus-style clumping refinement. Worse HPWL, but fewer
@@ -32,7 +32,6 @@ LegalizeResult legalizeCells(PlacementDB& db, RuntimeContext* ctx = nullptr);
 /// fails an invariant gate or exceeds its budget (docs/ROBUSTNESS.md). The
 /// "legalize.displace" fault site lives in the clumping phase only, so this
 /// path stays clean under injection.
-LegalizeResult greedyLegalizeCells(PlacementDB& db,
-                                   RuntimeContext* ctx = nullptr);
+LegalizeResult greedyLegalizeCells(PlacementDB& db, RuntimeContext& ctx);
 
 }  // namespace ep

@@ -270,9 +270,8 @@ struct Annealer {
 
 }  // namespace
 
-MlgResult legalizeMacros(PlacementDB& db, const MlgConfig& cfg,
-                         RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+MlgResult legalizeMacros(PlacementDB& db, RuntimeContext& rc,
+                         const MlgConfig& cfg) {
   MlgResult res;
   Annealer sa(db, cfg);
   if (sa.macros.empty()) {

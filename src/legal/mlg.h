@@ -51,7 +51,7 @@ struct MlgResult {
 
 /// Legalizes the movable macros of `db` in place. Standard cells are not
 /// touched. Returns the before/after metrics of Fig. 5.
-MlgResult legalizeMacros(PlacementDB& db, const MlgConfig& cfg = {},
-                         RuntimeContext* ctx = nullptr);
+MlgResult legalizeMacros(PlacementDB& db, RuntimeContext& ctx,
+                         const MlgConfig& cfg = {});
 
 }  // namespace ep

@@ -8,7 +8,6 @@
 #include <tuple>
 
 #include "util/checked_math.h"
-#include "util/log.h"
 
 namespace ep {
 
@@ -183,12 +182,7 @@ Status PlacementDB::sanitize(int* repaired) {
       o.ly = c.y;
       ++duplicates;
     }
-    if (duplicates > 0) {
-      logWarn("sanitize: de-duplicated %d exactly-overlapping fixed pad(s); "
-              "density map counts each footprint once",
-              duplicates);
-      fixes += duplicates;
-    }
+    fixes += duplicates;
   }
   // sanitize() mutates geometry (clamped pads, zero-area duplicates); if a
   // view was already built it would be stale, so rebuild. Deliberately not

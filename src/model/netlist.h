@@ -143,10 +143,11 @@ class PlacementDB {
   ///    placement overwrites them anyway);
   ///  * exactly-overlapping fixed pads (identical rects) are de-duplicated —
   ///    duplicates become zero-area points at the same center so the density
-  ///    map counts each footprint once (one warning line names the count);
+  ///    map counts each footprint once;
   ///  * zero/negative-area movable objects are rejected.
-  /// Returns the number of clamped/recentered objects via `repaired` when
-  /// non-null. Call before validate()+mGP; runSupervisedFlow() does.
+  /// Returns the number of clamped, recentered and de-duplicated objects via
+  /// `repaired` when non-null. Call before validate()+mGP;
+  /// runSupervisedFlow() does, and logs that count.
   Status sanitize(int* repaired = nullptr);
 
  private:

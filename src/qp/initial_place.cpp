@@ -29,8 +29,7 @@ constexpr std::uint64_t kSeed = 1;
 }  // namespace
 
 InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
-                                         RuntimeContext* ctx) {
-  RuntimeContext& rc = resolveContext(ctx);
+                                         RuntimeContext& rc) {
   InitialPlaceResult result;
   result.hpwlBefore = hpwl(db);
 

@@ -23,6 +23,6 @@ struct InitialPlaceResult {
 /// alternates B2B model construction and CG solves per axis. Updates object
 /// positions in `db` (centers clamped into the region).
 InitialPlaceResult quadraticInitialPlace(PlacementDB& db,
-                                         RuntimeContext* ctx = nullptr);
+                                         RuntimeContext& ctx);
 
 }  // namespace ep

@@ -7,7 +7,7 @@
 #include "eval/metrics.h"
 #include "legal/detail.h"
 #include "legal/legalize.h"
-#include "util/log.h"
+#include "util/context.h"
 #include "wirelength/wl.h"
 
 namespace ep {
@@ -24,7 +24,8 @@ constexpr double kMinImprovement = 0.02;
 
 }  // namespace
 
-RoutabilityResult routabilityDrivenRefine(PlacementDB& db) {
+RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
+                                          RuntimeContext& ctx) {
   RoutabilityResult res;
   res.hpwlBefore = hpwl(db);
   {
@@ -72,8 +73,8 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db) {
       o.w = w * factor;
       o.setCenter(c.x, c.y);
     }
-    logInfo("routability round %d: hotspot %.4g, %zu cells inflated", round,
-            rudy.hotspot, inflated);
+    ctx.log().info("routability round %d: hotspot %.4g, %zu cells inflated",
+                   round, rudy.hotspot, inflated);
     if (inflated == 0) {
       // Restore and stop: nothing to do.
       for (const auto& [idx, w] : trueW) {
@@ -86,7 +87,7 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db) {
     }
 
     // Re-place with the inflated footprints.
-    GlobalPlacer gp(db, db.movable(), GpConfig{});
+    GlobalPlacer gp(db, db.movable(), GpConfig{}, ctx);
     gp.makeFillersFromDb();
     gp.run();
 
@@ -97,8 +98,8 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db) {
       o.w = w;
       o.setCenter(c.x, c.y);
     }
-    legalizeCells(db);
-    detailPlace(db);
+    legalizeCells(db, ctx);
+    detailPlace(db, ctx);
     ++res.rounds;
   }
 
@@ -107,9 +108,10 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db) {
   res.peakAfter = m1.peak;
   res.hpwlAfter = hpwl(db);
   res.legal = checkLegality(db).legal;
-  logInfo("routability: hotspot %.4g -> %.4g, HPWL %.4g -> %.4g (%d rounds)",
-          res.hotspotBefore, res.hotspotAfter, res.hpwlBefore, res.hpwlAfter,
-          res.rounds);
+  ctx.log().info(
+      "routability: hotspot %.4g -> %.4g, HPWL %.4g -> %.4g (%d rounds)",
+      res.hotspotBefore, res.hotspotAfter, res.hpwlBefore, res.hpwlAfter,
+      res.rounds);
   return res;
 }
 

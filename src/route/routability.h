@@ -10,6 +10,8 @@
 
 namespace ep {
 
+class RuntimeContext;
+
 struct RoutabilityResult {
   double hotspotBefore = 0.0;
   double hotspotAfter = 0.0;
@@ -23,7 +25,9 @@ struct RoutabilityResult {
 
 /// Takes a *placed* (post-flow) design and trades wirelength for routing
 /// hotspot relief. Standard cells only; macros stay fixed. The layout is
-/// legalized again before returning.
-RoutabilityResult routabilityDrivenRefine(PlacementDB& db);
+/// legalized again before returning. The re-placement, legalization and
+/// detail passes borrow `ctx` (pool, faults, log, stats).
+RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
+                                          RuntimeContext& ctx);
 
 }  // namespace ep

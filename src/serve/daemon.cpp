@@ -84,7 +84,7 @@ std::size_t estimateJobBytes(const GenJobSpec& gen) {
 /// the real typed error, exactly as an unbudgeted submit would.
 std::size_t estimateAuxJobBytes(const std::string& auxPath,
                                 RuntimeContext& ctx) {
-  const auto counts = scanBookshelfCounts(auxPath, &ctx);
+  const auto counts = scanBookshelfCounts(auxPath, ctx);
   if (!counts.ok()) return 0;
   const auto plan = planCapacity(
       {counts->objects, counts->nets, counts->pins, counts->rows});

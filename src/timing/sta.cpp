@@ -5,7 +5,7 @@
 #include <deque>
 #include <limits>
 
-#include "util/log.h"
+#include "util/context.h"
 
 namespace ep {
 
@@ -27,7 +27,8 @@ double StaResult::criticality(std::size_t net) const {
   return std::clamp((clockPeriod - s) / clockPeriod, 0.0, 1.0);
 }
 
-StaResult staAnalyze(const PlacementDB& db, double clockPeriod) {
+StaResult staAnalyze(const PlacementDB& db, RuntimeContext& ctx,
+                     double clockPeriod) {
   const std::size_t n = db.objects.size();
   StaResult res;
   res.arrival.assign(n, 0.0);
@@ -95,8 +96,8 @@ StaResult staAnalyze(const PlacementDB& db, double clockPeriod) {
   };
   for (const auto& e : edges) res.cutCycleEdges += isCut(e) ? 1 : 0;
   if (res.cutCycleEdges > 0) {
-    logDebug("staAnalyze: cut %d combinational-loop edges",
-             res.cutCycleEdges);
+    ctx.log().debug("staAnalyze: cut %d combinational-loop edges",
+                    res.cutCycleEdges);
   }
 
   // Forward: arrival times.

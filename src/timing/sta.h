@@ -18,6 +18,8 @@
 
 namespace ep {
 
+class RuntimeContext;
+
 struct StaResult {
   /// Arrival time per object (worst input-path delay).
   std::vector<double> arrival;
@@ -38,6 +40,8 @@ struct StaResult {
 
 /// Runs STA on the current placement. `clockPeriod` <= 0 means "auto":
 /// 1.0x the critical-path delay (so wns = 0 and criticalities are relative).
-StaResult staAnalyze(const PlacementDB& db, double clockPeriod = 0.0);
+/// Cut loop edges are logged (debug) through `ctx`.
+StaResult staAnalyze(const PlacementDB& db, RuntimeContext& ctx,
+                     double clockPeriod = 0.0);
 
 }  // namespace ep

@@ -4,7 +4,7 @@
 
 #include "eplace/supervisor.h"
 #include "eval/metrics.h"
-#include "util/log.h"
+#include "util/context.h"
 #include "wirelength/wl.h"
 
 namespace ep {
@@ -16,17 +16,17 @@ constexpr double kAlpha = 4.0;
 
 }  // namespace
 
-TimingDrivenResult timingDrivenPlace(PlacementDB& db,
+TimingDrivenResult timingDrivenPlace(PlacementDB& db, RuntimeContext& ctx,
                                      const TimingDrivenConfig& cfg) {
   TimingDrivenResult res;
 
   // Seed run fixes the clock target.
-  runSupervisedFlow(db, {}, plainPolicy());
+  runSupervisedFlow(db, {}, ctx, plainPolicy());
   {
-    const StaResult seed = staAnalyze(db);
+    const StaResult seed = staAnalyze(db, ctx);
     res.clockPeriod = cfg.clockFactor * seed.maxDelay;
   }
-  const StaResult before = staAnalyze(db, res.clockPeriod);
+  const StaResult before = staAnalyze(db, ctx, res.clockPeriod);
   res.wnsBefore = before.wns;
   res.tnsBefore = before.tns;
   res.maxDelayBefore = before.maxDelay;
@@ -54,17 +54,17 @@ TimingDrivenResult timingDrivenPlace(PlacementDB& db,
   double bestWns = before.wns, bestTns = before.tns;
 
   for (int round = 0; round < cfg.rounds; ++round) {
-    const StaResult sta = staAnalyze(db, res.clockPeriod);
+    const StaResult sta = staAnalyze(db, ctx, res.clockPeriod);
     for (std::size_t e = 0; e < db.nets.size(); ++e) {
       const double crit = sta.criticality(e);
       db.nets[e].weight = origWeight[e] * (1.0 + kAlpha * crit * crit);
     }
-    runSupervisedFlow(db, {}, plainPolicy());
+    runSupervisedFlow(db, {}, ctx, plainPolicy());
     ++res.rounds;
 
-    const StaResult now = staAnalyze(db, res.clockPeriod);
-    logInfo("timing round %d: wns %.4g -> %.4g, tns %.4g -> %.4g", round,
-            bestWns, now.wns, bestTns, now.tns);
+    const StaResult now = staAnalyze(db, ctx, res.clockPeriod);
+    ctx.log().info("timing round %d: wns %.4g -> %.4g, tns %.4g -> %.4g",
+                   round, bestWns, now.wns, bestTns, now.tns);
     if (now.wns > bestWns || (now.wns == bestWns && now.tns > bestTns)) {
       bestWns = now.wns;
       bestTns = now.tns;
@@ -77,16 +77,17 @@ TimingDrivenResult timingDrivenPlace(PlacementDB& db,
   }
   restorePositions(best);
 
-  const StaResult after = staAnalyze(db, res.clockPeriod);
+  const StaResult after = staAnalyze(db, ctx, res.clockPeriod);
   res.wnsAfter = after.wns;
   res.tnsAfter = after.tns;
   res.maxDelayAfter = after.maxDelay;
   res.hpwlAfter = hpwl(db);
   res.legal = checkLegality(db).legal;
-  logInfo("timing-driven: wns %.4g -> %.4g, maxDelay %.4g -> %.4g, HPWL "
-          "%.4g -> %.4g",
-          res.wnsBefore, res.wnsAfter, res.maxDelayBefore, res.maxDelayAfter,
-          res.hpwlBefore, res.hpwlAfter);
+  ctx.log().info(
+      "timing-driven: wns %.4g -> %.4g, maxDelay %.4g -> %.4g, HPWL "
+      "%.4g -> %.4g",
+      res.wnsBefore, res.wnsAfter, res.maxDelayBefore, res.maxDelayAfter,
+      res.hpwlBefore, res.hpwlAfter);
   return res;
 }
 

@@ -11,6 +11,8 @@
 
 namespace ep {
 
+class RuntimeContext;
+
 struct TimingDrivenConfig {
   int rounds = 2;          ///< reweight/replace iterations after the seed run
   double clockFactor = 1.05;  ///< clock = factor * seed-run critical path
@@ -29,8 +31,9 @@ struct TimingDrivenResult {
 /// Places `db` timing-driven: a seed flow run fixes the clock target, then
 /// each round reweights nets by criticality and re-places. Net weights are
 /// restored to their input values before returning (the placement keeps the
-/// benefit; the netlist stays unmodified).
-TimingDrivenResult timingDrivenPlace(PlacementDB& db,
+/// benefit; the netlist stays unmodified). Every flow and STA run borrows
+/// `ctx` (pool, faults, log, stats).
+TimingDrivenResult timingDrivenPlace(PlacementDB& db, RuntimeContext& ctx,
                                      const TimingDrivenConfig& cfg = {});
 
 }  // namespace ep

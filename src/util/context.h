@@ -15,13 +15,13 @@
 //
 // Ownership rules (see docs/ARCHITECTURE.md, "Runtime context & session"):
 // a context outlives everything it is handed to; engines and stage
-// functions borrow it by pointer/reference and never store it past their
-// own lifetime. Library entry points take a trailing
-// `RuntimeContext* ctx = nullptr`, where nullptr resolves to
-// processDefault() — a lazily created hardware-sized context for
-// single-tenant embeddings and tools that don't care about isolation.
-// Anything that runs two flows in one process must pass explicit contexts
-// (PlacerSession does this for you).
+// functions borrow it and never store it past their own lifetime. Library
+// entry points take a required `RuntimeContext&` after their required
+// parameters and before their defaulted ones. There is no process-wide
+// context: a tool that does not care about isolation declares
+// `RuntimeContext ctx;` (hardware-sized pool, warnings only), and anything
+// that runs two flows in one process gives each its own (PlacerSession does
+// this for you).
 #pragma once
 
 #include <atomic>
@@ -108,8 +108,8 @@ class RuntimeContext {
   [[nodiscard]] ThreadPool& pool() { return pool_; }
   [[nodiscard]] FaultInjector& faults() { return faults_; }
   [[nodiscard]] Rng& rng() { return rng_; }
-  [[nodiscard]] LogSink& log() { return *sink_; }
-  [[nodiscard]] const LogSink& log() const { return *sink_; }
+  [[nodiscard]] LogSink& log() { return sink_; }
+  [[nodiscard]] const LogSink& log() const { return sink_; }
   [[nodiscard]] StatsRegistry& stats() { return stats_; }
   [[nodiscard]] const StatsRegistry& stats() const { return stats_; }
   [[nodiscard]] MemoryBudget& memory() { return memory_; }
@@ -158,21 +158,12 @@ class RuntimeContext {
     return cancelReason_;
   }
 
-  /// The shared fallback context: hardware-sized pool, unprefixed default
-  /// log sink, no deadline. Created on first use. Single-tenant
-  /// convenience only — concurrent sessions must own their contexts.
-  static RuntimeContext& processDefault();
-
  private:
-  struct DefaultTag {};
-  RuntimeContext(DefaultTag, RuntimeOptions opt);
-
   RuntimeOptions opt_;
+  LogSink sink_;          // before faults_: the injector points at it
   FaultInjector faults_;  // before pool_: the pool points at it
   ThreadPool pool_;
   Rng rng_;
-  LogSink ownSink_;
-  LogSink* sink_ = &ownSink_;  // processDefault aliases defaultLogSink()
   StatsRegistry stats_;
   MemoryBudget memory_;
   Timer clock_;
@@ -181,11 +172,5 @@ class RuntimeContext {
   mutable std::mutex cancelMu_;
   std::string cancelReason_;
 };
-
-/// nullptr-tolerant resolver used by library entry points:
-/// `RuntimeContext& rc = resolveContext(ctx);`
-inline RuntimeContext& resolveContext(RuntimeContext* ctx) {
-  return ctx != nullptr ? *ctx : RuntimeContext::processDefault();
-}
 
 }  // namespace ep

@@ -2,17 +2,17 @@
 
 #include <unistd.h>
 
-#include "util/log.h"
-
 namespace ep {
 
 CsvWriter::CsvWriter(const std::string& path,
-                     const std::vector<std::string>& header)
-    : out_(std::fopen(path.c_str(), "w")),
+                     const std::vector<std::string>& header,
+                     const LogSink& log)
+    : log_(log),
+      out_(std::fopen(path.c_str(), "w")),
       path_(path),
       columns_(header.size()) {
   if (out_ == nullptr) {
-    logWarn("CsvWriter: cannot open %s", path.c_str());
+    log_.warn("CsvWriter: cannot open %s", path.c_str());
     return;
   }
   row(header);
@@ -23,8 +23,8 @@ CsvWriter::~CsvWriter() {
   // A trace that could not be made durable is exactly the artifact someone
   // will trust after a crash — say so instead of closing silently.
   if (std::fflush(out_) != 0 || ::fsync(fileno(out_)) != 0) {
-    logWarn("CsvWriter: could not sync %s on close; trace may be incomplete",
-            path_.c_str());
+    log_.warn("CsvWriter: could not sync %s on close; trace may be incomplete",
+              path_.c_str());
   }
   std::fclose(out_);
 }
@@ -33,7 +33,8 @@ bool CsvWriter::writable() {
   if (out_ != nullptr && !failed_ && std::ferror(out_) == 0) return true;
   if (!warnedDrop_) {
     warnedDrop_ = true;
-    logWarn("CsvWriter: %s is not writable, dropping all rows", path_.c_str());
+    log_.warn("CsvWriter: %s is not writable, dropping all rows",
+              path_.c_str());
   }
   return false;
 }
@@ -47,8 +48,8 @@ void CsvWriter::endRow() {
 void CsvWriter::row(const std::vector<double>& cells) {
   if (!writable()) return;
   if (cells.size() != columns_) {
-    logWarn("CsvWriter: row has %zu cells, header has %zu", cells.size(),
-            columns_);
+    log_.warn("CsvWriter: row has %zu cells, header has %zu", cells.size(),
+              columns_);
   }
   for (std::size_t i = 0; i < cells.size(); ++i) {
     if (std::fprintf(out_, "%s%.6g", i ? "," : "", cells[i]) < 0) {

@@ -11,13 +11,18 @@
 #include <string>
 #include <vector>
 
+#include "util/log.h"
+
 namespace ep {
 
 class CsvWriter {
  public:
   /// Opens `path` for writing and emits the header row. Check ok() before
-  /// writing rows; construction never throws.
-  CsvWriter(const std::string& path, const std::vector<std::string>& header);
+  /// writing rows; construction never throws. Failures are warned about
+  /// through `log` (typically the caller's ctx.log()), which must outlive
+  /// the writer.
+  CsvWriter(const std::string& path, const std::vector<std::string>& header,
+            const LogSink& log);
   ~CsvWriter();
   CsvWriter(const CsvWriter&) = delete;
   CsvWriter& operator=(const CsvWriter&) = delete;
@@ -42,6 +47,7 @@ class CsvWriter {
   bool writable();
   void endRow();
 
+  const LogSink& log_;
   std::FILE* out_ = nullptr;
   std::string path_;
   std::size_t columns_ = 0;

@@ -40,7 +40,9 @@ const FaultSpec* FaultInjector::fire(const std::string& site) {
   if (tick < a.spec.atTick) return nullptr;
   if (a.spec.count >= 0 && a.fired >= a.spec.count) return nullptr;
   ++a.fired;
-  logDebug("fault injector: %s fires at pass %ld", site.c_str(), tick);
+  if (sink_ != nullptr) {
+    sink_->debug("fault injector: %s fires at pass %ld", site.c_str(), tick);
+  }
   return &a.spec;
 }
 

@@ -35,7 +35,9 @@
 // There is no process-wide injector: each RuntimeContext owns one, and the
 // kernels reach it through the context (or a FaultInjector* threaded down
 // their constructors). Arming a fault in one session can therefore never
-// fire in another session of the same process.
+// fire in another session of the same process. The owning context also
+// hands the injector its log sink, so a firing pass (and an io retry it
+// causes) is logged, at debug level, with that session's prefix.
 #pragma once
 
 #include <atomic>
@@ -49,6 +51,8 @@
 #include "util/rng.h"
 
 namespace ep {
+
+class LogSink;
 
 enum class FaultKind : std::uint8_t {
   kNaN,       ///< overwrite one entry with a quiet NaN
@@ -96,6 +100,12 @@ class FaultInjector {
   /// Total number of times `site` has fired since arm/reset.
   [[nodiscard]] long fireCount(const std::string& site) const;
 
+  /// The sink firing passes are logged to. Set by the owning
+  /// RuntimeContext during construction; a standalone injector has none
+  /// and logs nothing.
+  void setLogSink(const LogSink* sink) { sink_ = sink; }
+  [[nodiscard]] const LogSink* logSink() const { return sink_; }
+
  private:
   struct Armed {
     FaultSpec spec;
@@ -106,6 +116,7 @@ class FaultInjector {
   std::atomic<bool> armed_{false};
   std::map<std::string, Armed> sites_;
   Rng rng_{0xfa17ED5EEDULL};
+  const LogSink* sink_ = nullptr;
 };
 
 /// Every fault site compiled into the tree. The chaos suite

@@ -125,8 +125,11 @@ Status writeFileDurably(const std::string& path, const void* data,
     if (attempt > 0) {
       // Deterministic exponential backoff: 1x, 2x, 4x, ... the base.
       ::usleep(static_cast<useconds_t>(kBackoffMicros) << (attempt - 1));
-      logDebug("io: retrying write of %s (attempt %d/%d): %s", path.c_str(),
-               attempt + 1, kWriteAttempts, last.message().c_str());
+      if (faults != nullptr && faults->logSink() != nullptr) {
+        faults->logSink()->debug("io: retrying write of %s (attempt %d/%d): %s",
+                                 path.c_str(), attempt + 1, kWriteAttempts,
+                                 last.message().c_str());
+      }
     }
     last = writeOnce(path, data, n, faults);
     if (last.ok()) return last;

@@ -53,7 +53,8 @@ namespace io {
 /// checked fwrite + fflush + fsync + rename + parent-directory fsync.
 /// Transient failures are retried (see above); no-space failures are not.
 /// On any failure the tmp file is removed and `path` is untouched (the
-/// previous contents, if any, survive).
+/// previous contents, if any, survive). A retry is logged at debug level
+/// through `faults`' sink, when it has one.
 Status writeFileDurably(const std::string& path, const void* data,
                         std::size_t n, FaultInjector* faults = nullptr);
 

@@ -104,27 +104,4 @@ EP_DEFINE_SINK_LOG(error, LogLevel::kError)
 
 #undef EP_DEFINE_SINK_LOG
 
-LogSink& defaultLogSink() {
-  static LogSink sink;
-  return sink;
-}
-
-void setLogLevel(LogLevel level) { defaultLogSink().setLevel(level); }
-LogLevel logLevel() { return defaultLogSink().level(); }
-
-#define EP_DEFINE_LOG(Name, Level)            \
-  void Name(const char* fmt, ...) {           \
-    va_list args;                             \
-    va_start(args, fmt);                      \
-    defaultLogSink().vlogf(Level, fmt, args); \
-    va_end(args);                             \
-  }
-
-EP_DEFINE_LOG(logDebug, LogLevel::kDebug)
-EP_DEFINE_LOG(logInfo, LogLevel::kInfo)
-EP_DEFINE_LOG(logWarn, LogLevel::kWarn)
-EP_DEFINE_LOG(logError, LogLevel::kError)
-
-#undef EP_DEFINE_LOG
-
 }  // namespace ep

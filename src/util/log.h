@@ -2,15 +2,13 @@
 // logging defaults to warnings only and callers (examples, benches,
 // sessions) opt into verbosity.
 //
-// Two layers:
-//   * LogSink — an independent sink with its own minimum level, an optional
-//     per-session prefix (so concurrent PlacerSessions in one process emit
-//     distinguishable, non-interleaved lines) and wall-clock timestamps.
-//     A RuntimeContext owns one; nothing about a sink is process-global.
-//   * the free logDebug/logInfo/logWarn/logError functions — the legacy
-//     surface, now routed through defaultLogSink(). Context-threaded code
-//     should prefer ctx.log().info(...) so its output carries the session
-//     prefix and honors the session's filter.
+// A LogSink is one destination with its own minimum level, an optional
+// per-session prefix (so concurrent PlacerSessions in one process emit
+// distinguishable, non-interleaved lines) and wall-clock timestamps. Each
+// RuntimeContext owns one, and library code logs through the context it
+// was handed: ctx.log().info(...). There is no process-wide sink and no
+// process-wide level; a caller raises verbosity with
+// ctx.log().setLevel(...) on its own context.
 //
 // printf-style formatting (GCC 12 on this toolchain lacks <format>). Each
 // line is emitted with a single fprintf call, so concurrent sessions never
@@ -79,19 +77,5 @@ class LogSink {
   std::atomic<bool> timestamps_{true};
   std::string prefix_;
 };
-
-/// The sink behind the free functions below (and behind code that runs
-/// without a RuntimeContext). Unprefixed.
-LogSink& defaultLogSink();
-
-/// Minimum level of the default sink; messages below it are dropped.
-void setLogLevel(LogLevel level);
-LogLevel logLevel();
-
-/// printf-style logging through the default sink.
-void logDebug(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void logInfo(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void logWarn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-void logError(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 }  // namespace ep

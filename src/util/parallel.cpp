@@ -231,10 +231,4 @@ void ThreadPool::run(std::size_t n, RawFn fn, void* ctx, std::size_t grain) {
   }
 }
 
-double orderedSum(std::span<const double> v) {
-  double acc = 0.0;
-  for (const double x : v) acc += x;
-  return acc;
-}
-
 }  // namespace ep

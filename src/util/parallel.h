@@ -8,10 +8,12 @@
 //     statically computed ranges, so it is safe exactly when every index
 //     writes disjoint outputs (element-wise kernels) or when the output
 //     partitioning itself is index-based (scatter kernels that partition
-//     the *output* bins, see BinGrid::stampAll). deterministicReduce maps
-//     every index into its own slot in parallel and then folds the slots
-//     serially in index order — the identical floating-point operation
-//     sequence as the plain serial loop, for any thread count.
+//     the *output* bins, see BinGrid::stampAll). There is no parallel
+//     reduction: a sum over items is computed in two phases, as
+//     WlEvaluator does — a parallelFor writes one slot per item, then the
+//     slots are folded (or gathered through a CSR incidence list) serially
+//     in index order, the identical floating-point operation sequence as
+//     the plain serial loop, for any thread count.
 //
 //  2. *Serial equivalence.* With --threads 1 (or n below the grain) the
 //     pool runs the same code inline on the caller; combined with (1),
@@ -32,18 +34,11 @@
 
 #include <cstddef>
 #include <memory>
-#include <span>
-
-#include "util/status.h"
+#include <type_traits>
 
 namespace ep {
 
 class FaultInjector;
-
-/// Serial left fold of `v` in index order (the combine step of
-/// deterministicReduce, exposed for per-item partial arrays that are filled
-/// by other parallel phases).
-double orderedSum(std::span<const double> v);
 
 class ThreadPool {
  public:
@@ -72,32 +67,6 @@ class ThreadPool {
     run(n, [](void* ctx, std::size_t part, std::size_t b, std::size_t e) {
       (*static_cast<std::remove_reference_t<F>*>(ctx))(part, b, e);
     }, &fn, grain);
-  }
-
-  /// parallelFor with task exceptions converted to Status (kInternal)
-  /// instead of rethrown. Used at subsystem boundaries that already speak
-  /// Status; hot inner loops use parallelFor and rely on the flow-level
-  /// catch.
-  template <typename F>
-  Status tryParallelFor(std::size_t n, F&& fn) {
-    try {
-      parallelFor(n, std::forward<F>(fn));
-    } catch (const std::exception& e) {
-      return Status::internal(std::string("parallel task failed: ") +
-                              e.what());
-    }
-    return Status::okStatus();
-  }
-
-  /// Deterministic sum-reduction: slots[i] = f(i) computed in parallel,
-  /// then folded serially in index order. `slots.size()` must be >= n.
-  /// Bit-identical to `for (i) acc += f(i)` for any thread count.
-  template <typename F>
-  double deterministicReduce(std::size_t n, std::span<double> slots, F&& f) {
-    parallelFor(n, [&](std::size_t, std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) slots[i] = f(i);
-    });
-    return orderedSum(slots.subspan(0, n));
   }
 
   /// Wires the "parallel.task" fault site to `inj` (nullptr disables the

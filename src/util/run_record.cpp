@@ -53,12 +53,6 @@ std::uint64_t doubleBits(double v) {
   return bits;
 }
 
-double bitsToDouble(std::uint64_t bits) {
-  double v = 0;
-  std::memcpy(&v, &bits, sizeof v);
-  return v;
-}
-
 namespace {
 
 // The schema: each object's fields are listed once, in the *Fields()

@@ -43,9 +43,8 @@ class FaultInjector;
 std::string hexBits64(std::uint64_t bits);
 bool parseHexBits64(const std::string& s, std::uint64_t* out);
 
-/// Doubles <-> bit patterns for the *_bits record fields.
+/// A double's bit pattern, for the *_bits record fields.
 std::uint64_t doubleBits(double v);
-double bitsToDouble(std::uint64_t bits);
 
 struct StageRecord {
   std::string stage;            ///< "mIP", "mGP", "mLG", "cGP", "cDP"

@@ -6,6 +6,7 @@
 #include "baseline/quadratic.h"
 #include "eval/metrics.h"
 #include "gen/generator.h"
+#include "util/context.h"
 #include "util/rng.h"
 #include "wirelength/wl.h"
 
@@ -122,8 +123,9 @@ PlacementDB testCircuit(std::uint64_t seed, std::size_t cells = 600,
 }
 
 TEST(MinCut, PlacesEverythingInRegion) {
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(21);
-  const MinCutResult res = minCutPlace(db);
+  const MinCutResult res = minCutPlace(db, ctx);
   EXPECT_GT(res.partitions, 10);
   for (auto i : db.movable()) {
     const auto& o = db.objects[static_cast<std::size_t>(i)];
@@ -132,6 +134,7 @@ TEST(MinCut, PlacesEverythingInRegion) {
 }
 
 TEST(MinCut, BeatsRandomPlacement) {
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(23);
   // Random placement HPWL as the reference.
   Rng rng(1);
@@ -141,29 +144,32 @@ TEST(MinCut, BeatsRandomPlacement) {
                 rng.uniform(db.region.ly + o.h, db.region.hy - o.h));
   }
   const double randomHpwl = hpwl(db);
-  minCutPlace(db);
+  minCutPlace(db, ctx);
   EXPECT_LT(hpwl(db), 0.8 * randomHpwl);
 }
 
 TEST(MinCut, SpreadsDensity) {
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(25);
-  minCutPlace(db);
+  minCutPlace(db, ctx);
   // Leaf-granular placement: overflow well below the piled-up extreme.
   EXPECT_LT(densityOverflow(db).overflow, 0.6);
 }
 
 TEST(Quadratic, ReachesOverflowTarget) {
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(27);
   QuadraticPlaceConfig cfg;
   cfg.targetOverflow = 0.15;
-  const auto res = quadraticPlace(db, cfg);
+  const auto res = quadraticPlace(db, ctx, cfg);
   EXPECT_LE(res.finalOverflow, 0.25);  // close to target (spread-limited)
   EXPECT_GT(res.hpwl, 0.0);
 }
 
 TEST(Quadratic, StaysInRegion) {
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(29, 400, 3);
-  quadraticPlace(db);
+  quadraticPlace(db, ctx);
   for (auto i : db.movable()) {
     const auto& o = db.objects[static_cast<std::size_t>(i)];
     EXPECT_GE(o.lx, db.region.lx - 1e-9);
@@ -174,48 +180,52 @@ TEST(Quadratic, StaysInRegion) {
 }
 
 TEST(Quadratic, SpreadingReducesOverflowMonotonically) {
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(31);
   QuadraticPlaceConfig one;
   one.maxIterations = 2;
   one.targetOverflow = 0.0;  // force full run
   PlacementDB db1 = db;
-  const auto early = quadraticPlace(db1, one);
+  const auto early = quadraticPlace(db1, ctx, one);
   QuadraticPlaceConfig many = one;
   many.maxIterations = 20;
   PlacementDB db2 = db;
-  const auto late = quadraticPlace(db2, many);
+  const auto late = quadraticPlace(db2, ctx, many);
   EXPECT_LT(late.finalOverflow, early.finalOverflow);
 }
 
 TEST(Bell, ReducesOverflow) {
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(33, 400);
   const double before = densityOverflow(db).overflow;
   (void)before;
   BellPlaceConfig cfg;
   cfg.maxOuterIterations = 10;
   cfg.cgIterationsPerOuter = 40;
-  const auto res = bellPlace(db, cfg);
+  const auto res = bellPlace(db, ctx, cfg);
   EXPECT_LT(res.finalOverflow, 0.45);
   EXPECT_GT(res.gradEvals, 0);
 }
 
 TEST(Bell, LineSearchDominatesRuntime) {
   // Sec. V-A: line search is the bottleneck of CG-based placers.
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(35, 500);
   BellPlaceConfig cfg;
   cfg.maxOuterIterations = 4;
   cfg.cgIterationsPerOuter = 30;
-  const auto res = bellPlace(db, cfg);
+  const auto res = bellPlace(db, ctx, cfg);
   EXPECT_GT(res.lineSearchSeconds, 0.3 * res.optimizerSeconds);
 }
 
 TEST(Bell, NesterovModeAlsoSpreads) {
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(39, 400);
   BellPlaceConfig cfg;
   cfg.useNesterov = true;
   cfg.maxOuterIterations = 10;
   cfg.cgIterationsPerOuter = 40;
-  const auto res = bellPlace(db, cfg);
+  const auto res = bellPlace(db, ctx, cfg);
   EXPECT_LT(res.finalOverflow, 0.45);
   EXPECT_DOUBLE_EQ(res.lineSearchSeconds, 0.0);  // no line search
   for (auto i : db.movable()) {
@@ -225,8 +235,9 @@ TEST(Bell, NesterovModeAlsoSpreads) {
 }
 
 TEST(Bell, StaysInRegion) {
+  RuntimeContext ctx;
   PlacementDB db = testCircuit(37, 300);
-  bellPlace(db);
+  bellPlace(db, ctx);
   for (auto i : db.movable()) {
     const auto& o = db.objects[static_cast<std::size_t>(i)];
     EXPECT_TRUE(db.region.expanded(1e-6).contains(o.rect())) << o.name;

@@ -5,6 +5,7 @@
 
 #include "bookshelf/bookshelf.h"
 #include "gen/generator.h"
+#include "util/context.h"
 
 namespace ep {
 namespace {
@@ -19,6 +20,7 @@ class BookshelfTest : public ::testing::Test {
 };
 
 TEST_F(BookshelfTest, RoundTripPreservesInstance) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.numCells = 200;
   spec.numMovableMacros = 3;
@@ -29,7 +31,7 @@ TEST_F(BookshelfTest, RoundTripPreservesInstance) {
 
   ASSERT_TRUE(writeBookshelf(dir_, "rt", orig).ok());
   PlacementDB back;
-  const auto res = readBookshelf(dir_ + "/rt.aux", back);
+  const auto res = readBookshelf(dir_ + "/rt.aux", back, ctx);
   ASSERT_TRUE(res.ok()) << res.message();
 
   ASSERT_EQ(back.objects.size(), orig.objects.size());
@@ -62,6 +64,7 @@ TEST_F(BookshelfTest, RoundTripPreservesInstance) {
 }
 
 TEST_F(BookshelfTest, RoundTripPreservesWeights) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.numCells = 50;
   spec.seed = 8;
@@ -70,31 +73,34 @@ TEST_F(BookshelfTest, RoundTripPreservesWeights) {
   orig.nets[1].weight = 0.25;
   ASSERT_TRUE(writeBookshelf(dir_, "w", orig).ok());
   PlacementDB back;
-  ASSERT_TRUE(readBookshelf(dir_ + "/w.aux", back).ok());
+  ASSERT_TRUE(readBookshelf(dir_ + "/w.aux", back, ctx).ok());
   EXPECT_DOUBLE_EQ(back.nets[0].weight, 3.5);
   EXPECT_DOUBLE_EQ(back.nets[1].weight, 0.25);
   EXPECT_DOUBLE_EQ(back.nets[2].weight, 1.0);
 }
 
 TEST_F(BookshelfTest, MissingAuxFails) {
+  RuntimeContext ctx;
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/nonexistent.aux", db);
+  const auto res = readBookshelf(dir_ + "/nonexistent.aux", db, ctx);
   EXPECT_FALSE(res.ok());
   EXPECT_FALSE(res.message().empty());
 }
 
 TEST_F(BookshelfTest, MalformedAuxFails) {
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/bad.aux");
     out << "RowBasedPlacement : nothing useful\n";
   }
   PlacementDB db;
-  EXPECT_FALSE(readBookshelf(dir_ + "/bad.aux", db).ok());
+  EXPECT_FALSE(readBookshelf(dir_ + "/bad.aux", db, ctx).ok());
 }
 
 TEST_F(BookshelfTest, ParsesHandWrittenFiles) {
   // Minimal hand-authored instance in classic ISPD formatting, including
   // comment lines and the "terminal" keyword.
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/mini.aux");
     out << "RowBasedPlacement :  mini.nodes  mini.nets  mini.wts  mini.pl  "
@@ -129,7 +135,7 @@ TEST_F(BookshelfTest, ParsesHandWrittenFiles) {
         << "  Sitesymmetry : 1\n  SubrowOrigin : 0  NumSites : 10\nEnd\n";
   }
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/mini.aux", db);
+  const auto res = readBookshelf(dir_ + "/mini.aux", db, ctx);
   ASSERT_TRUE(res.ok()) << res.message();
   ASSERT_EQ(db.objects.size(), 3u);
   EXPECT_EQ(db.objects[0].name, "a");

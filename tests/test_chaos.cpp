@@ -75,7 +75,7 @@ TEST_P(ChaosTest, SingleFaultNeverCrashesTheSupervisedFlow) {
   ctx.faults().arm(site, spec);
 
   PlacementDB db;
-  const Status rd = readBookshelf((dir_ / "chaos.aux").string(), db, &ctx);
+  const Status rd = readBookshelf((dir_ / "chaos.aux").string(), db, ctx);
   if (!rd.ok()) {
     // The reader hit the fault: a typed rejection is the correct outcome.
     EXPECT_TRUE(rd.code() == StatusCode::kInvalidInput ||
@@ -90,7 +90,7 @@ TEST_P(ChaosTest, SingleFaultNeverCrashesTheSupervisedFlow) {
   sup.snapshotDir = (dir_ / "snaps").string();
   sup.saveEvery = 25;
   SupervisorReport report;
-  const auto run = runSupervisedFlow(db, cfg, sup, &report, &ctx);
+  const auto run = runSupervisedFlow(db, cfg, ctx, sup, &report);
   if (!run.ok()) {
     EXPECT_NE(run.status().code(), StatusCode::kOk);
     return;

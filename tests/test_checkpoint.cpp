@@ -19,6 +19,7 @@
 #include "eplace/checkpoint.h"
 #include "eplace/supervisor.h"
 #include "gen/generator.h"
+#include "util/context.h"
 #include "util/rng.h"
 #include "util/snapshot.h"
 
@@ -301,6 +302,7 @@ TEST_P(CheckpointRejection, DecoderRejectsAsInvalidInput) {
 }
 
 TEST_P(CheckpointRejection, SupervisorCountsItAndFallsBackToTheOlderFile) {
+  RuntimeContext ctx;
   ASSERT_TRUE(
       writeSnapshotFile(snapshotPath(dir_.string(), 0), validSnapshot()).ok());
   ASSERT_TRUE(
@@ -312,7 +314,7 @@ TEST_P(CheckpointRejection, SupervisorCountsItAndFallsBackToTheOlderFile) {
   cfg.gp.maxIterations = 60;
   PlacementDB db = instance();
   SupervisorReport report;
-  const auto res = runSupervisedFlow(db, cfg, sup, &report);
+  const auto res = runSupervisedFlow(db, cfg, ctx, sup, &report);
   ASSERT_TRUE(res.ok()) << res.status().toString();
   EXPECT_EQ(report.snapshotsRejected, 1);
   EXPECT_TRUE(report.resumed);
@@ -328,6 +330,7 @@ INSTANTIATE_TEST_SUITE_P(
 // --- the ring --------------------------------------------------------------
 
 class CheckpointRing : public ::testing::Test {
+  RuntimeContext ctx;
  protected:
   void SetUp() override {
     dir_ = fs::path(::testing::TempDir()) /
@@ -355,7 +358,7 @@ class CheckpointRing : public ::testing::Test {
     FlowConfig cfg;
     cfg.gp.maxIterations = 60;
     PlacementDB db = instance();
-    EXPECT_TRUE(runSupervisedFlow(db, cfg, sup).ok());
+    EXPECT_TRUE(runSupervisedFlow(db, cfg, ctx, sup).ok());
     return seqs;
   }
 
@@ -447,6 +450,7 @@ PlacementDB compatInstance() {
 // file kept (its optimizer state continues at iteration 10). A changed
 // codec that can no longer read it breaks every resumable run on disk.
 TEST(CheckpointCompat, SnapshotFromEarlierBuildResumesMidMgp) {
+  RuntimeContext ctx;
   const fs::path dir = fs::path(::testing::TempDir()) / "ckpt_compat";
   fs::remove_all(dir);
   fs::create_directories(dir);
@@ -471,7 +475,7 @@ TEST(CheckpointCompat, SnapshotFromEarlierBuildResumesMidMgp) {
   sup.resumeDir = dir.string();
   PlacementDB db = compatInstance();
   SupervisorReport report;
-  const auto res = runSupervisedFlow(db, cfg, sup, &report);
+  const auto res = runSupervisedFlow(db, cfg, ctx, sup, &report);
   fs::remove_all(dir);
   ASSERT_TRUE(res.ok()) << res.status().toString();
   EXPECT_TRUE(report.resumed);

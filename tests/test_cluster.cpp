@@ -114,17 +114,19 @@ TEST_F(ClusterTest, LadderBitDeterministicAcrossThreadCounts) {
 }
 
 TEST_F(ClusterTest, RepeatedBuildsIdentical) {
+  RuntimeContext ctx;
   const PlacementDB db = circuit(22, 900, 2);
-  const auto a = buildClusterLadder(db, smallLadderConfig());
-  const auto b = buildClusterLadder(db, smallLadderConfig());
+  const auto a = buildClusterLadder(db, smallLadderConfig(), &ctx);
+  const auto b = buildClusterLadder(db, smallLadderConfig(), &ctx);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   expectSameLadder(*a, *b);
 }
 
 TEST_F(ClusterTest, MovableAreaConservedPerLevel) {
+  RuntimeContext ctx;
   const PlacementDB db = circuit(23, 1500);
-  const auto r = buildClusterLadder(db, smallLadderConfig());
+  const auto r = buildClusterLadder(db, smallLadderConfig(), &ctx);
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(r->empty());
   const PlacementDB* fine = &db;
@@ -141,8 +143,9 @@ TEST_F(ClusterTest, MovableAreaConservedPerLevel) {
 }
 
 TEST_F(ClusterTest, FixedChargePassesThroughBitExact) {
+  RuntimeContext ctx;
   const PlacementDB db = circuit(24, 1000, 0);
-  const auto r = buildClusterLadder(db, smallLadderConfig());
+  const auto r = buildClusterLadder(db, smallLadderConfig(), &ctx);
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(r->empty());
   const PlacementDB* fine = &db;
@@ -177,8 +180,9 @@ TEST_F(ClusterTest, FixedChargePassesThroughBitExact) {
 }
 
 TEST_F(ClusterTest, EveryFineObjectMappedExactlyOnce) {
+  RuntimeContext ctx;
   const PlacementDB db = circuit(25, 1300, 1);
-  const auto r = buildClusterLadder(db, smallLadderConfig());
+  const auto r = buildClusterLadder(db, smallLadderConfig(), &ctx);
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(r->empty());
   std::size_t fineCount = db.objects.size();
@@ -214,8 +218,9 @@ TEST_F(ClusterTest, EveryFineObjectMappedExactlyOnce) {
 }
 
 TEST_F(ClusterTest, UncoarsenSeedsMembersAtClusterCenter) {
+  RuntimeContext ctx;
   PlacementDB db = circuit(26, 800);
-  const auto r = buildClusterLadder(db, smallLadderConfig());
+  const auto r = buildClusterLadder(db, smallLadderConfig(), &ctx);
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(r->empty());
   ClusterLevel lvl = r->levels[0];
@@ -253,8 +258,9 @@ TEST_F(ClusterTest, UncoarsenSeedsMembersAtClusterCenter) {
 }
 
 TEST_F(ClusterTest, UncoarsenRejectsMismatchedInstance) {
+  RuntimeContext ctx;
   const PlacementDB db = circuit(27, 600);
-  const auto r = buildClusterLadder(db, smallLadderConfig());
+  const auto r = buildClusterLadder(db, smallLadderConfig(), &ctx);
   ASSERT_TRUE(r.ok());
   ASSERT_FALSE(r->empty());
   PlacementDB other = circuit(27, 400);
@@ -262,9 +268,10 @@ TEST_F(ClusterTest, UncoarsenRejectsMismatchedInstance) {
 }
 
 TEST_F(ClusterTest, TinyInstanceYieldsEmptyLadder) {
+  RuntimeContext ctx;
   const PlacementDB db = circuit(28, 100);
   ClusterConfig cfg;  // default floor 3000 movables
-  const auto r = buildClusterLadder(db, cfg);
+  const auto r = buildClusterLadder(db, cfg, &ctx);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->empty());
 }
@@ -303,7 +310,7 @@ MlOutcome runMultilevel(std::uint64_t seed, int threads) {
   PlacementDB db = circuit(seed, 900);
   SupervisorReport report;
   const auto run =
-      runSupervisedFlow(db, fastFlow(), multilevelConfig(), &report, &ctx);
+      runSupervisedFlow(db, fastFlow(), ctx, multilevelConfig(), &report);
   EXPECT_TRUE(run.ok());
   MlOutcome out;
   if (run.ok()) {
@@ -365,6 +372,7 @@ TEST_F(ClusterTest, SupervisedMultilevelFinalHpwlPinned) {
 /// `killStage`, resumes it in a fresh run, and checks that the resumed
 /// trajectory and final placement match an uninterrupted run bit for bit.
 void expectKilledLevelResumesBitExact(const std::string& killStage) {
+  RuntimeContext ctx;
   const fs::path dir =
       fs::path(::testing::TempDir()) /
       ("cluster_resume_" + std::string(::testing::UnitTest::GetInstance()
@@ -396,7 +404,7 @@ void expectKilledLevelResumesBitExact(const std::string& killStage) {
   std::vector<TraceRec> refTrace;
   PlacementDB ref = circuit(33, 900);
   const auto refRun =
-      runSupervisedFlow(ref, traced(&refTrace, -1), multilevelConfig());
+      runSupervisedFlow(ref, traced(&refTrace, -1), ctx, multilevelConfig());
   ASSERT_TRUE(refRun.ok());
   ASSERT_FALSE(refRun->mgpLevels.empty());
 
@@ -409,7 +417,7 @@ void expectKilledLevelResumesBitExact(const std::string& killStage) {
     PlacementDB killed = circuit(33, 900);
     EXPECT_THROW(
         {
-          auto r = runSupervisedFlow(killed, traced(nullptr, 25), supCfg);
+          auto r = runSupervisedFlow(killed, traced(nullptr, 25), ctx, supCfg);
           (void)r;
         },
         KillSignal);
@@ -424,7 +432,8 @@ void expectKilledLevelResumesBitExact(const std::string& killStage) {
   PlacementDB resumed = circuit(33, 900);
   SupervisorReport report;
   const auto resRun =
-      runSupervisedFlow(resumed, traced(&resTrace, -1), resumeCfg, &report);
+      runSupervisedFlow(
+          resumed, traced(&resTrace, -1), ctx, resumeCfg, &report);
   ASSERT_TRUE(resRun.ok());
   EXPECT_TRUE(report.resumed);
   EXPECT_EQ(report.resumeStage, FlowStage::kMgp);

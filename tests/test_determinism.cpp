@@ -60,8 +60,8 @@ struct RunOutcome {
 RunOutcome runMgp(std::uint64_t seed, int threads) {
   RuntimeContext ctx(threads);
   PlacementDB db = circuit(seed, 400);
-  quadraticInitialPlace(db, &ctx);
-  GlobalPlacer gp(db, db.movable(), GpConfig{}, &ctx);
+  quadraticInitialPlace(db, ctx);
+  GlobalPlacer gp(db, db.movable(), GpConfig{}, ctx);
   gp.makeFillersFromDb();
   const GpResult res = gp.run();
   EXPECT_TRUE(res.status.ok());
@@ -75,7 +75,7 @@ RunOutcome runMixedFlow(std::uint64_t seed, int threads) {
   FlowConfig cfg;
   cfg.runDetail = false;
   const FlowResult res =
-      *runSupervisedFlow(db, cfg, plainPolicy(), nullptr, &ctx);
+      *runSupervisedFlow(db, cfg, ctx, plainPolicy());
   return {movablePositions(db), res.finalHpwl, res.mgp.iterations};
 }
 
@@ -83,7 +83,7 @@ RunOutcome runMixedFlow(std::uint64_t seed, int threads) {
 std::vector<double> runMip(const char* suiteName, int threads) {
   RuntimeContext ctx(threads);
   PlacementDB db = generateCircuit(suiteSpec(suiteName));
-  quadraticInitialPlace(db, &ctx);
+  quadraticInitialPlace(db, ctx);
   return movablePositions(db);
 }
 

@@ -6,6 +6,7 @@
 #include "eval/metrics.h"
 #include "gen/generator.h"
 #include "qp/initial_place.h"
+#include "util/context.h"
 #include "wirelength/wl.h"
 
 namespace ep {
@@ -24,8 +25,9 @@ PlacementDB circuit(std::uint64_t seed, std::size_t cells = 500,
 }
 
 TEST(Fillers, BudgetMatchesWhitespace) {
+  RuntimeContext ctx;
   const PlacementDB db = circuit(1);
-  const FillerSet f = makeFillers(db, 7);
+  const FillerSet f = makeFillers(db, 7, ctx);
   const double budget = db.targetDensity * db.freeArea() - db.totalMovableArea();
   EXPECT_GT(f.size(), 0u);
   EXPECT_LE(f.totalArea(), budget + 1e-9);
@@ -33,8 +35,9 @@ TEST(Fillers, BudgetMatchesWhitespace) {
 }
 
 TEST(Fillers, InsideRegion) {
+  RuntimeContext ctx;
   const PlacementDB db = circuit(2);
-  const FillerSet f = makeFillers(db, 8);
+  const FillerSet f = makeFillers(db, 8, ctx);
   for (std::size_t k = 0; k < f.size(); ++k) {
     EXPECT_GE(f.cx[k] - f.w * 0.5, db.region.lx - 1e-9);
     EXPECT_LE(f.cx[k] + f.w * 0.5, db.region.hx + 1e-9);
@@ -44,10 +47,11 @@ TEST(Fillers, InsideRegion) {
 }
 
 TEST(Fillers, DeterministicPerSeed) {
+  RuntimeContext ctx;
   const PlacementDB db = circuit(3);
-  const FillerSet a = makeFillers(db, 9);
-  const FillerSet b = makeFillers(db, 9);
-  const FillerSet c = makeFillers(db, 10);
+  const FillerSet a = makeFillers(db, 9, ctx);
+  const FillerSet b = makeFillers(db, 9, ctx);
+  const FillerSet c = makeFillers(db, 10, ctx);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t k = 0; k < a.size(); ++k) {
     EXPECT_DOUBLE_EQ(a.cx[k], b.cx[k]);
@@ -60,16 +64,18 @@ TEST(Fillers, DeterministicPerSeed) {
 }
 
 TEST(Fillers, NoBudgetNoFillers) {
+  RuntimeContext ctx;
   PlacementDB db = circuit(4);
   db.targetDensity = 0.05;  // below utilization: nothing left for fillers
-  const FillerSet f = makeFillers(db, 11);
+  const FillerSet f = makeFillers(db, 11, ctx);
   EXPECT_EQ(f.size(), 0u);
 }
 
 GpResult runGp(PlacementDB& db, GpConfig cfg = {},
                GlobalPlacer::TraceFn trace = {}) {
-  quadraticInitialPlace(db);
-  GlobalPlacer gp(db, db.movable(), cfg);
+  RuntimeContext ctx;
+  quadraticInitialPlace(db, ctx);
+  GlobalPlacer gp(db, db.movable(), cfg, ctx);
   gp.makeFillersFromDb();
   return gp.run(std::move(trace));
 }
@@ -193,9 +199,10 @@ TEST(GlobalPlacer, BacktracksAreRare) {
 }
 
 TEST(GlobalPlacer, FillerOnlyMovesOnlyFillers) {
+  RuntimeContext ctx;
   PlacementDB db = circuit(13, 300, 4);
-  quadraticInitialPlace(db);
-  GlobalPlacer gp(db, db.movable(), {});
+  quadraticInitialPlace(db, ctx);
+  GlobalPlacer gp(db, db.movable(), {}, ctx);
   gp.makeFillersFromDb();
   const auto before = db.objects;
   const FillerSet fBefore = gp.fillers();
@@ -211,8 +218,9 @@ TEST(GlobalPlacer, FillerOnlyMovesOnlyFillers) {
 }
 
 TEST(Flow, StdCellFlowIsLegalAndConverged) {
+  RuntimeContext ctx;
   PlacementDB db = circuit(14, 600);
-  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+  const FlowResult res = *runSupervisedFlow(db, {}, ctx, plainPolicy());
   EXPECT_TRUE(res.mgpResult.converged);
   EXPECT_FALSE(res.mlg.ran);  // no movable macros -> mLG/cGP skipped
   EXPECT_FALSE(res.cgp.ran);
@@ -221,8 +229,9 @@ TEST(Flow, StdCellFlowIsLegalAndConverged) {
 }
 
 TEST(Flow, MixedSizeFlowRunsAllStages) {
+  RuntimeContext ctx;
   PlacementDB db = circuit(15, 500, 6);
-  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+  const FlowResult res = *runSupervisedFlow(db, {}, ctx, plainPolicy());
   EXPECT_TRUE(res.mip.ran);
   EXPECT_TRUE(res.mgp.ran);
   EXPECT_TRUE(res.mlg.ran);
@@ -239,8 +248,9 @@ TEST(Flow, MixedSizeFlowRunsAllStages) {
 }
 
 TEST(Flow, CgpLambdaIsRewound) {
+  RuntimeContext ctx;
   PlacementDB db = circuit(16, 400, 5);
-  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+  const FlowResult res = *runSupervisedFlow(db, {}, ctx, plainPolicy());
   // cGP starts from lambda_mGP * 1.1^-m; by the end it must have grown back
   // but the recorded rewind means cGP ran with a real schedule. Check the
   // stage actually iterated and converged.
@@ -249,6 +259,7 @@ TEST(Flow, CgpLambdaIsRewound) {
 }
 
 TEST(Flow, TraceSeesStages) {
+  RuntimeContext ctx;
   PlacementDB db = circuit(17, 400, 4);
   FlowConfig cfg;
   bool sawMgp = false, sawCgp = false;
@@ -256,14 +267,15 @@ TEST(Flow, TraceSeesStages) {
     if (stage == "mGP") sawMgp = true;
     if (stage == "cGP") sawCgp = true;
   };
-  runSupervisedFlow(db, cfg, plainPolicy());
+  runSupervisedFlow(db, cfg, ctx, plainPolicy());
   EXPECT_TRUE(sawMgp);
   EXPECT_TRUE(sawCgp);
 }
 
 TEST(Flow, StageTimesAreRecorded) {
+  RuntimeContext ctx;
   PlacementDB db = circuit(18, 300);
-  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+  const FlowResult res = *runSupervisedFlow(db, {}, ctx, plainPolicy());
   EXPECT_GT(res.mgp.seconds, 0.0);
   EXPECT_GT(res.cdp.seconds, 0.0);
   EXPECT_GT(res.mgpResult.densitySeconds, 0.0);
@@ -274,10 +286,11 @@ TEST(Flow, StageTimesAreRecorded) {
 }
 
 TEST(Flow, DisablingFillerOnlyStillLegal) {
+  RuntimeContext ctx;
   PlacementDB db = circuit(19, 400, 4);
   FlowConfig cfg;
   cfg.enableFillerOnly = false;
-  const FlowResult res = *runSupervisedFlow(db, cfg, plainPolicy());
+  const FlowResult res = *runSupervisedFlow(db, cfg, ctx, plainPolicy());
   EXPECT_TRUE(res.legality.legal) << res.legality.firstIssue;
 }
 

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <string>
+#include <type_traits>
 
 #include "eval/metrics.h"
 #include "eval/plot.h"
+#include "util/context.h"
 #include "wirelength/wl.h"
 #include "gen/generator.h"
 
@@ -183,6 +187,23 @@ TEST(Legality, DetectsMovableFixedOverlap) {
   EXPECT_GT(rep.overlaps, 0);
 }
 
+TEST(Legality, CountsEveryStackedPairAndNamesTheFirst) {
+  // n cells on one point, each on a row and a site: every pair overlaps,
+  // the count is exact, and the note names the first pair in sweep order.
+  auto db = frame();
+  constexpr std::int64_t n = 300;
+  for (std::int64_t i = 0; i < n; ++i) {
+    addObj(db, "c" + std::to_string(i), 2, 1, 10, 10);
+  }
+  db.finalize();
+  const auto rep = checkLegality(db);
+  static_assert(std::is_same_v<decltype(rep.overlaps), std::int64_t>);
+  EXPECT_FALSE(rep.legal);
+  EXPECT_EQ(rep.overlaps, n * (n - 1) / 2);
+  EXPECT_EQ(rep.outOfRegion + rep.offRow + rep.offSite, 0);
+  EXPECT_EQ(rep.firstIssue, "objects c0 and c1 overlap");
+}
+
 TEST(Legality, IgnoresFixedFixedOverlap) {
   auto db = frame();
   addObj(db, "b1", 8, 8, 8, 8, true, ObjKind::kMacro);
@@ -193,13 +214,14 @@ TEST(Legality, IgnoresFixedFixedOverlap) {
 }
 
 TEST(Plot, ScalarMapWritesPpmWithCorrectDims) {
+  RuntimeContext ctx;
   const std::size_t nx = 8, ny = 4;
   std::vector<double> map(nx * ny);
   for (std::size_t i = 0; i < map.size(); ++i) {
     map[i] = static_cast<double>(i);
   }
   const std::string path = ::testing::TempDir() + "/scalar.ppm";
-  ASSERT_TRUE(plotScalarMap(map, nx, ny, path, 3));
+  ASSERT_TRUE(plotScalarMap(map, nx, ny, path, ctx, 3));
   std::ifstream in(path, std::ios::binary);
   std::string magic;
   int w = 0, h = 0, maxv = 0;
@@ -211,24 +233,27 @@ TEST(Plot, ScalarMapWritesPpmWithCorrectDims) {
 }
 
 TEST(Plot, ScalarMapRejectsBadDims) {
+  RuntimeContext ctx;
   std::vector<double> map(10);
-  EXPECT_FALSE(plotScalarMap(map, 3, 4, ::testing::TempDir() + "/x.ppm"));
-  EXPECT_FALSE(plotScalarMap({}, 0, 0, ::testing::TempDir() + "/y.ppm"));
+  EXPECT_FALSE(plotScalarMap(map, 3, 4, ::testing::TempDir() + "/x.ppm", ctx));
+  EXPECT_FALSE(plotScalarMap({}, 0, 0, ::testing::TempDir() + "/y.ppm", ctx));
 }
 
 TEST(Plot, ScalarMapHandlesConstantField) {
+  RuntimeContext ctx;
   std::vector<double> map(16, 7.0);  // zero range must not divide by zero
   EXPECT_TRUE(
-      plotScalarMap(map, 4, 4, ::testing::TempDir() + "/const.ppm"));
+      plotScalarMap(map, 4, 4, ::testing::TempDir() + "/const.ppm", ctx));
 }
 
 TEST(Plot, WritesPpm) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.numCells = 50;
   spec.numMovableMacros = 2;
   const PlacementDB db = generateCircuit(spec);
   const std::string path = ::testing::TempDir() + "/layout.ppm";
-  ASSERT_TRUE(plotLayout(db, path));
+  ASSERT_TRUE(plotLayout(db, path, ctx));
   std::ifstream in(path, std::ios::binary);
   std::string magic;
   in >> magic;

@@ -26,6 +26,7 @@
 #include "eplace/global_placer.h"
 #include "gen/generator.h"
 #include "qp/initial_place.h"
+#include "util/context.h"
 #include "util/parallel.h"
 
 namespace ep {
@@ -49,13 +50,14 @@ struct Metrics {
 };
 
 Metrics runCase(const GoldenCase& c) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.name = "golden";
   spec.numCells = c.cells;
   spec.seed = c.seed;
   PlacementDB db = generateCircuit(spec);
-  quadraticInitialPlace(db);
-  GlobalPlacer gp(db, db.movable(), GpConfig{});
+  quadraticInitialPlace(db, ctx);
+  GlobalPlacer gp(db, db.movable(), GpConfig{}, ctx);
   gp.makeFillersFromDb();
   const GpResult res = gp.run();
   EXPECT_TRUE(res.status.ok()) << res.status.toString();

@@ -439,7 +439,7 @@ TEST(Governance, SupervisedFlowDegradesToSnapshotlessUnderPersistentEnospc) {
   sup.snapshotDir = (dir / "snaps").string();
   sup.saveEvery = 5;
   SupervisorReport report;
-  const auto run = runSupervisedFlow(db, cfg, sup, &report, &ctx);
+  const auto run = runSupervisedFlow(db, cfg, ctx, sup, &report);
   // Snapshots are a durability feature, not a correctness one: the run
   // must finish without them.
   ASSERT_TRUE(run.ok()) << run.status().toString();

@@ -553,22 +553,6 @@ TEST(ThreadPoolProperties, PartitionsCoverEveryIndexOnce) {
   }
 }
 
-TEST(ThreadPoolProperties, DeterministicReduceThreadCountInvariant) {
-  const std::size_t n = 4096;
-  const std::vector<double> data = randomVector(n, 801);
-  auto f = [&](std::size_t i) { return data[i] * data[i] - 0.25 * data[i]; };
-  double serialRef = 0.0;
-  for (std::size_t i = 0; i < n; ++i) serialRef += f(i);
-
-  std::vector<double> slots(n);
-  ThreadPool one(1), four(4);
-  const double a = one.deterministicReduce(n, slots, f);
-  const double b = four.deterministicReduce(n, slots, f);
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(a),
-            std::bit_cast<std::uint64_t>(serialRef));
-}
-
 TEST(ThreadPoolProperties, WorkerExceptionRethrownOnCaller) {
   ThreadPool pool(4);
   EXPECT_THROW(
@@ -590,18 +574,6 @@ TEST(ThreadPoolProperties, WorkerExceptionRethrownOnCaller) {
       },
       1);
   for (int h : hits) EXPECT_EQ(h, 1);
-}
-
-TEST(ThreadPoolProperties, TryParallelForConvertsThrowToStatus) {
-  ThreadPool pool(2);
-  const Status ok = pool.tryParallelFor(
-      64, [](std::size_t, std::size_t, std::size_t) {});
-  EXPECT_TRUE(ok.ok());
-  const Status bad = pool.tryParallelFor(
-      64, [](std::size_t, std::size_t b, std::size_t) {
-        if (b == 0) throw std::runtime_error("task failed");
-      });
-  EXPECT_EQ(bad.code(), StatusCode::kInternal);
 }
 
 // The dispatch fast path is lock-free (workers spin on an epoch, the

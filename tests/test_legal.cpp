@@ -6,6 +6,7 @@
 #include "legal/legalize.h"
 #include "legal/mlg.h"
 #include "qp/initial_place.h"
+#include "util/context.h"
 #include "util/rng.h"
 #include "wirelength/wl.h"
 
@@ -45,10 +46,11 @@ std::vector<std::int32_t> macroIds(const PlacementDB& db) {
 }
 
 TEST(Mlg, RemovesMacroOverlap) {
+  RuntimeContext ctx;
   PlacementDB db = mlgFixture(3);
   const auto ids = macroIds(db);
   ASSERT_GT(pairwiseOverlapArea(db, ids), 0.0);
-  const MlgResult res = legalizeMacros(db);
+  const MlgResult res = legalizeMacros(db, ctx);
   EXPECT_TRUE(res.legal);
   EXPECT_NEAR(pairwiseOverlapArea(db, ids), 0.0, 1e-9);
   EXPECT_GT(res.overlapBefore, 0.0);
@@ -56,8 +58,9 @@ TEST(Mlg, RemovesMacroOverlap) {
 }
 
 TEST(Mlg, MacrosStayInRegionAndOnGrid) {
+  RuntimeContext ctx;
   PlacementDB db = mlgFixture(5);
-  legalizeMacros(db);
+  legalizeMacros(db, ctx);
   for (auto i : macroIds(db)) {
     const auto& o = db.objects[static_cast<std::size_t>(i)];
     EXPECT_TRUE(db.region.contains(o.rect())) << o.name;
@@ -70,12 +73,13 @@ TEST(Mlg, MacrosStayInRegionAndOnGrid) {
 TEST(Mlg, OnlyLocalShifts) {
   // The paper's premise: mGP leaves macros near-legal, so mLG makes small
   // moves. Verify displacement stays well under the region size.
+  RuntimeContext ctx;
   PlacementDB db = mlgFixture(7);
   std::vector<Point> before;
   for (auto i : macroIds(db)) {
     before.push_back(db.objects[static_cast<std::size_t>(i)].center());
   }
-  legalizeMacros(db);
+  legalizeMacros(db, ctx);
   std::size_t k = 0;
   double sum = 0.0;
   for (auto i : macroIds(db)) {
@@ -87,13 +91,14 @@ TEST(Mlg, OnlyLocalShifts) {
 }
 
 TEST(Mlg, DoesNotTouchCells) {
+  RuntimeContext ctx;
   PlacementDB db = mlgFixture(9);
   std::vector<double> cellX;
   for (auto i : db.movable()) {
     const auto& o = db.objects[static_cast<std::size_t>(i)];
     if (o.kind == ObjKind::kStdCell) cellX.push_back(o.lx);
   }
-  legalizeMacros(db);
+  legalizeMacros(db, ctx);
   std::size_t k = 0;
   for (auto i : db.movable()) {
     const auto& o = db.objects[static_cast<std::size_t>(i)];
@@ -104,10 +109,11 @@ TEST(Mlg, DoesNotTouchCells) {
 }
 
 TEST(Mlg, Deterministic) {
+  RuntimeContext ctx;
   PlacementDB a = mlgFixture(11);
   PlacementDB b = mlgFixture(11);
-  legalizeMacros(a);
-  legalizeMacros(b);
+  legalizeMacros(a, ctx);
+  legalizeMacros(b, ctx);
   for (std::size_t i = 0; i < a.objects.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.objects[i].lx, b.objects[i].lx);
     EXPECT_DOUBLE_EQ(a.objects[i].ly, b.objects[i].ly);
@@ -115,11 +121,12 @@ TEST(Mlg, Deterministic) {
 }
 
 TEST(Mlg, RotationExtensionStaysLegal) {
+  RuntimeContext ctx;
   PlacementDB db = mlgFixture(21);
   MlgConfig cfg;
   cfg.allowRotation = true;
   cfg.allowFlipping = true;
-  const MlgResult res = legalizeMacros(db, cfg);
+  const MlgResult res = legalizeMacros(db, ctx, cfg);
   EXPECT_TRUE(res.legal);
   EXPECT_NEAR(pairwiseOverlapArea(db, macroIds(db)), 0.0, 1e-9);
   for (auto i : macroIds(db)) {
@@ -129,6 +136,7 @@ TEST(Mlg, RotationExtensionStaysLegal) {
 }
 
 TEST(Mlg, RotationPreservesMacroArea) {
+  RuntimeContext ctx;
   PlacementDB db = mlgFixture(23);
   std::vector<double> areas;
   for (auto i : macroIds(db)) {
@@ -137,7 +145,7 @@ TEST(Mlg, RotationPreservesMacroArea) {
   MlgConfig cfg;
   cfg.allowRotation = true;
   cfg.reorientProb = 0.5;
-  legalizeMacros(db, cfg);
+  legalizeMacros(db, ctx, cfg);
   std::size_t k = 0;
   for (auto i : macroIds(db)) {
     EXPECT_NEAR(db.objects[static_cast<std::size_t>(i)].area(), areas[k++],
@@ -148,24 +156,27 @@ TEST(Mlg, RotationPreservesMacroArea) {
 TEST(Mlg, RotationKeepsHpwlBookkeepingConsistent) {
   // The annealer tracks W incrementally across rotations (which transform
   // pin offsets); the final recomputed HPWL must match a fresh evaluation.
+  RuntimeContext ctx;
   PlacementDB db = mlgFixture(25);
   MlgConfig cfg;
   cfg.allowRotation = true;
   cfg.allowFlipping = true;
-  const MlgResult res = legalizeMacros(db, cfg);
+  const MlgResult res = legalizeMacros(db, ctx, cfg);
   EXPECT_NEAR(res.hpwlAfter, hpwl(db), 1e-6 * res.hpwlAfter);
 }
 
 TEST(Mlg, NoMacrosIsTrivialSuccess) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.numCells = 100;
   PlacementDB db = generateCircuit(spec);
-  const MlgResult res = legalizeMacros(db);
+  const MlgResult res = legalizeMacros(db, ctx);
   EXPECT_TRUE(res.legal);
   EXPECT_EQ(res.outerIterations, 0);
 }
 
 PlacementDB legalizeFixture(std::uint64_t seed, std::size_t cells = 500) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.name = "legfix";
   spec.numCells = cells;
@@ -173,28 +184,31 @@ PlacementDB legalizeFixture(std::uint64_t seed, std::size_t cells = 500) {
   spec.utilization = 0.6;
   spec.seed = seed;
   PlacementDB db = generateCircuit(spec);
-  quadraticInitialPlace(db);  // overlapping but sane start
+  quadraticInitialPlace(db, ctx);  // overlapping but sane start
   return db;
 }
 
 TEST(Legalize, ProducesLegalLayout) {
+  RuntimeContext ctx;
   PlacementDB db = legalizeFixture(2);
-  const LegalizeResult res = legalizeCells(db);
+  const LegalizeResult res = legalizeCells(db, ctx);
   EXPECT_TRUE(res.success);
   const auto rep = checkLegality(db);
   EXPECT_TRUE(rep.legal) << rep.firstIssue;
 }
 
 TEST(Legalize, ReportsDisplacement) {
+  RuntimeContext ctx;
   PlacementDB db = legalizeFixture(4);
-  const LegalizeResult res = legalizeCells(db);
+  const LegalizeResult res = legalizeCells(db, ctx);
   EXPECT_GT(res.avgDisplacement, 0.0);
   EXPECT_GE(res.maxDisplacement, res.avgDisplacement);
 }
 
 TEST(Legalize, RespectsFixedObstacles) {
+  RuntimeContext ctx;
   PlacementDB db = legalizeFixture(6);
-  legalizeCells(db);
+  legalizeCells(db, ctx);
   for (auto i : db.movable()) {
     const auto& o = db.objects[static_cast<std::size_t>(i)];
     for (const auto& f : db.objects) {
@@ -207,39 +221,43 @@ TEST(Legalize, RespectsFixedObstacles) {
 
 TEST(Legalize, NearlyLegalInputMovesLittle) {
   // A layout that is already legal must barely move.
+  RuntimeContext ctx;
   PlacementDB db = legalizeFixture(8, 200);
-  legalizeCells(db);
+  legalizeCells(db, ctx);
   const double h1 = hpwl(db);
-  const LegalizeResult res2 = legalizeCells(db);
+  const LegalizeResult res2 = legalizeCells(db, ctx);
   EXPECT_LT(res2.avgDisplacement, 1.0);
   EXPECT_NEAR(hpwl(db), h1, 0.05 * h1);
 }
 
 TEST(Detail, ImprovesOrKeepsHpwlAndStaysLegal) {
+  RuntimeContext ctx;
   PlacementDB db = legalizeFixture(10);
-  legalizeCells(db);
+  legalizeCells(db, ctx);
   ASSERT_TRUE(checkLegality(db).legal);
-  const DetailResult res = detailPlace(db);
+  const DetailResult res = detailPlace(db, ctx);
   EXPECT_LE(res.hpwlAfter, res.hpwlBefore + 1e-9);
   const auto rep = checkLegality(db);
   EXPECT_TRUE(rep.legal) << rep.firstIssue;
 }
 
 TEST(Detail, ActuallyFindsImprovements) {
+  RuntimeContext ctx;
   PlacementDB db = legalizeFixture(12);
-  legalizeCells(db);
-  const DetailResult res = detailPlace(db);
+  legalizeCells(db, ctx);
+  const DetailResult res = detailPlace(db, ctx);
   EXPECT_GT(res.reorders + res.swaps, 0);
   EXPECT_LT(res.hpwlAfter, res.hpwlBefore);
 }
 
 TEST(Detail, Deterministic) {
+  RuntimeContext ctx;
   PlacementDB a = legalizeFixture(14);
   PlacementDB b = legalizeFixture(14);
-  legalizeCells(a);
-  legalizeCells(b);
-  detailPlace(a);
-  detailPlace(b);
+  legalizeCells(a, ctx);
+  legalizeCells(b, ctx);
+  detailPlace(a, ctx);
+  detailPlace(b, ctx);
   for (std::size_t i = 0; i < a.objects.size(); ++i) {
     EXPECT_DOUBLE_EQ(a.objects[i].lx, b.objects[i].lx);
   }
@@ -248,6 +266,7 @@ TEST(Detail, Deterministic) {
 TEST(Detail, SwapFixesObviouslyCrossedPair) {
   // Two same-size cells placed on each other's ideal rows: a single swap
   // recovers the optimum.
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 20, 4};
   for (int r = 0; r < 4; ++r) {
@@ -275,7 +294,7 @@ TEST(Detail, SwapFixesObviouslyCrossedPair) {
   db.nets.push_back({"nb", {{1, 0, 0}, {2, 0, 0}}, 1.0});
   db.finalize();
   const double before = hpwl(db);
-  const DetailResult res = detailPlace(db);
+  const DetailResult res = detailPlace(db, ctx);
   EXPECT_GT(res.swaps, 0);
   EXPECT_LT(res.hpwlAfter, before);
   // After the swap, each cell sits on its pad's row: HPWL = 2 * 8.
@@ -283,11 +302,12 @@ TEST(Detail, SwapFixesObviouslyCrossedPair) {
 }
 
 TEST(Detail, ZeroPassesIsNoop) {
+  RuntimeContext ctx;
   PlacementDB db = legalizeFixture(16, 100);
-  legalizeCells(db);
+  legalizeCells(db, ctx);
   DetailConfig cfg;
   cfg.maxPasses = 0;
-  const DetailResult res = detailPlace(db, cfg);
+  const DetailResult res = detailPlace(db, ctx, cfg);
   EXPECT_EQ(res.passes, 0);
   EXPECT_DOUBLE_EQ(res.hpwlAfter, res.hpwlBefore);
 }

@@ -83,8 +83,8 @@ RunOutcome runMgp(const GoldenCase& c, int threads) {
   spec.numCells = c.cells;
   spec.seed = c.seed;
   PlacementDB db = generateCircuit(spec);
-  quadraticInitialPlace(db, &ctx);
-  GlobalPlacer gp(db, db.movable(), GpConfig{}, &ctx);
+  quadraticInitialPlace(db, ctx);
+  GlobalPlacer gp(db, db.movable(), GpConfig{}, ctx);
   gp.makeFillersFromDb();
   const GpResult res = gp.run();
   EXPECT_TRUE(res.status.ok()) << res.status.toString();
@@ -373,12 +373,12 @@ TEST(ScratchArena, ElectroDensityOnPoolSteadyStateNeverGrows) {
 TEST(ScratchArena, SecondGpRunReusesFirstRunsBuffers) {
   RuntimeContext ctx(1);
   PlacementDB db = testCircuit(11, 200);
-  quadraticInitialPlace(db, &ctx);
+  quadraticInitialPlace(db, ctx);
 
   GpConfig cfg;
   cfg.maxIterations = 30;
   {
-    GlobalPlacer gp(db, db.movable(), cfg, &ctx);
+    GlobalPlacer gp(db, db.movable(), cfg, ctx);
     gp.makeFillersFromDb();
     (void)gp.run();
   }
@@ -386,7 +386,7 @@ TEST(ScratchArena, SecondGpRunReusesFirstRunsBuffers) {
   EXPECT_GT(warm, 0);
 
   {
-    GlobalPlacer gp(db, db.movable(), cfg, &ctx);
+    GlobalPlacer gp(db, db.movable(), cfg, ctx);
     gp.makeFillersFromDb();
     (void)gp.run();
   }

@@ -13,6 +13,7 @@
 #include "legal/legalize.h"
 #include "eval/metrics.h"
 #include "opt/nesterov.h"
+#include "util/context.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "wirelength/wl.h"
@@ -272,6 +273,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OptSeeds, ::testing::Values(3, 5, 8, 13, 21));
 class LegalizeUtil : public ::testing::TestWithParam<int> {};
 
 TEST_P(LegalizeUtil, LegalAcrossUtilizations) {
+  RuntimeContext ctx;
   const double util = 0.35 + 0.1 * GetParam();  // 0.35 .. 0.85
   GenSpec spec;
   spec.name = "util";
@@ -285,7 +287,7 @@ TEST_P(LegalizeUtil, LegalAcrossUtilizations) {
   for (auto i : db.movable()) {
     db.objects[static_cast<std::size_t>(i)].setCenter(c.x, c.y);
   }
-  const LegalizeResult res = legalizeCells(db);
+  const LegalizeResult res = legalizeCells(db, ctx);
   EXPECT_TRUE(res.success) << "util " << util;
   const auto rep = checkLegality(db);
   EXPECT_TRUE(rep.legal) << "util " << util << ": " << rep.firstIssue;

@@ -8,6 +8,7 @@
 #include "qp/b2b.h"
 #include "qp/initial_place.h"
 #include "qp/sparse.h"
+#include "util/context.h"
 #include "util/parallel.h"
 #include "util/rng.h"
 #include "wirelength/wl.h"
@@ -230,6 +231,7 @@ TEST(B2B, QuadraticNetCostSmoke) {
 TEST(InitialPlace, ReducesHpwlAndStaysInRegion) {
   // Star of movables around fixed pads: mIP must collapse wirelength
   // massively versus a spread random start.
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 200, 200};
   Rng rng(3);
@@ -257,7 +259,7 @@ TEST(InitialPlace, ReducesHpwlAndStaysInRegion) {
          1.0});
   }
   db.finalize();
-  const auto res = quadraticInitialPlace(db);
+  const auto res = quadraticInitialPlace(db, ctx);
   EXPECT_LT(res.hpwlAfter, res.hpwlBefore);
   for (const auto& o : db.objects) {
     if (o.fixed) continue;
@@ -269,6 +271,7 @@ TEST(InitialPlace, ReducesHpwlAndStaysInRegion) {
 TEST(InitialPlace, HandlesNoFixedPins) {
   // Fully floating design: the fallback anchor must keep the system SPD and
   // pull everything to the region center.
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 100, 100};
   for (int i = 0; i < 10; ++i) {
@@ -283,7 +286,7 @@ TEST(InitialPlace, HandlesNoFixedPins) {
     db.nets.push_back({"n" + std::to_string(i), {{i, 0, 0}, {i + 1, 0, 0}}, 1.0});
   }
   db.finalize();
-  const auto res = quadraticInitialPlace(db);
+  const auto res = quadraticInitialPlace(db, ctx);
   (void)res;
   for (const auto& o : db.objects) {
     EXPECT_NEAR(o.center().x, 50.0, 5.0);
@@ -292,6 +295,7 @@ TEST(InitialPlace, HandlesNoFixedPins) {
 }
 
 TEST(InitialPlace, Deterministic) {
+  RuntimeContext ctx;
   PlacementDB db1, db2;
   for (PlacementDB* db : {&db1, &db2}) {
     db->region = {0, 0, 100, 100};
@@ -314,7 +318,7 @@ TEST(InitialPlace, Deterministic) {
           {"n" + std::to_string(i), {{i, 0, 0}, {i + 1, 0, 0}, {20, 0, 0}}, 1.0});
     }
     db->finalize();
-    quadraticInitialPlace(*db);
+    quadraticInitialPlace(*db, ctx);
   }
   for (std::size_t i = 0; i < db1.objects.size(); ++i) {
     EXPECT_DOUBLE_EQ(db1.objects[i].lx, db2.objects[i].lx);

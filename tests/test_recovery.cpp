@@ -46,8 +46,8 @@ bool placementInsideRegion(const PlacementDB& db) {
 
 GpResult runPlacer(PlacementDB& db, const GpConfig& cfg,
                    RuntimeContext& ctx) {
-  quadraticInitialPlace(db, &ctx);
-  GlobalPlacer gp(db, db.movable(), cfg, &ctx);
+  quadraticInitialPlace(db, ctx);
+  GlobalPlacer gp(db, db.movable(), cfg, ctx);
   gp.makeFillersFromDb();
   return gp.run();
 }
@@ -155,16 +155,18 @@ TEST_F(RecoveryTest, FlowCarriesDivergenceStatusThrough) {
   FlowConfig cfg;
   cfg.runDetail = false;  // keep the degraded layout observable
   const StatusOr<FlowResult> res =
-      runSupervisedFlow(db, cfg, plainPolicy(), nullptr, &ctx);
+      runSupervisedFlow(db, cfg, ctx, plainPolicy());
   ASSERT_TRUE(res.ok());  // the flow ran; degradation is in res->status
   EXPECT_EQ(res->status.code(), StatusCode::kNumericalDivergence);
   EXPECT_TRUE(placementInsideRegion(db));
 }
 
 TEST_F(RecoveryTest, FlowCheckedRejectsZeroAreaMovable) {
+  RuntimeContext ctx;
   PlacementDB db = smallInstance();
   db.objects[db.movable()[0]].w = 0.0;
-  const StatusOr<FlowResult> res = runSupervisedFlow(db, {}, plainPolicy());
+  const StatusOr<FlowResult> res = runSupervisedFlow(
+      db, {}, ctx, plainPolicy());
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidInput);
   EXPECT_NE(res.status().message().find("zero area"), std::string::npos);

@@ -24,6 +24,7 @@ namespace {
 // ---------- degenerate instances through the full flow ----------
 
 TEST(Robustness, SingleCellDesign) {
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 16, 16};
   Object o;
@@ -44,11 +45,12 @@ TEST(Robustness, SingleCellDesign) {
     db.rows.push_back({0, static_cast<double>(r), 1.0, 1.0, 16});
   }
   db.finalize();
-  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+  const FlowResult res = *runSupervisedFlow(db, {}, ctx, plainPolicy());
   EXPECT_TRUE(res.legality.legal) << res.legality.firstIssue;
 }
 
 TEST(Robustness, DesignWithoutNets) {
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 32, 32};
   for (int i = 0; i < 20; ++i) {
@@ -64,12 +66,13 @@ TEST(Robustness, DesignWithoutNets) {
   }
   db.finalize();
   // No wirelength force at all: density must still spread and legalize.
-  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+  const FlowResult res = *runSupervisedFlow(db, {}, ctx, plainPolicy());
   EXPECT_TRUE(res.legality.legal) << res.legality.firstIssue;
   EXPECT_DOUBLE_EQ(res.finalHpwl, 0.0);
 }
 
 TEST(Robustness, NoMovableObjects) {
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 32, 32};
   Object o;
@@ -81,11 +84,12 @@ TEST(Robustness, NoMovableObjects) {
   db.objects.push_back(o);
   db.rows.push_back({0, 0, 1.0, 1.0, 32});
   db.finalize();
-  const FlowResult res = *runSupervisedFlow(db, {}, plainPolicy());
+  const FlowResult res = *runSupervisedFlow(db, {}, ctx, plainPolicy());
   EXPECT_TRUE(res.legality.legal);
 }
 
 TEST(Robustness, ExtremeUtilizationStillTerminates) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.name = "packed";
   spec.numCells = 400;
@@ -94,8 +98,8 @@ TEST(Robustness, ExtremeUtilizationStillTerminates) {
   PlacementDB db = generateCircuit(spec);
   GpConfig cfg;
   cfg.maxIterations = 400;
-  quadraticInitialPlace(db);
-  GlobalPlacer gp(db, db.movable(), cfg);
+  quadraticInitialPlace(db, ctx);
+  GlobalPlacer gp(db, db.movable(), cfg, ctx);
   gp.makeFillersFromDb();  // likely zero fillers
   const GpResult res = gp.run();
   EXPECT_GT(res.iterations, 0);
@@ -106,6 +110,7 @@ TEST(Robustness, ExtremeUtilizationStillTerminates) {
 TEST(Robustness, LegalizerReportsImpossibleCapacity) {
   // More cell area than row capacity: must not crash and must report the
   // unplaced remainder instead of overlapping cells silently.
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 10, 2};
   db.rows.push_back({0, 0, 1.0, 1.0, 10});
@@ -119,7 +124,7 @@ TEST(Robustness, LegalizerReportsImpossibleCapacity) {
     db.objects.push_back(o);
   }
   db.finalize();
-  const LegalizeResult res = legalizeCells(db);
+  const LegalizeResult res = legalizeCells(db, ctx);
   EXPECT_FALSE(res.success);
   EXPECT_EQ(res.unplaced, 10);
   // The cells that were placed (row-aligned) are pairwise legal; the
@@ -142,6 +147,7 @@ TEST(Robustness, LegalizerReportsImpossibleCapacity) {
 
 TEST(Robustness, MlgWithWallToWallMacros) {
   // Macros that barely fit: the annealer must still find a packing.
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 32, 32};
   for (int r = 0; r < 32; ++r) {
@@ -159,7 +165,7 @@ TEST(Robustness, MlgWithWallToWallMacros) {
   db.finalize();
   MlgConfig cfg;
   cfg.maxOuterIterations = 40;
-  const MlgResult res = legalizeMacros(db, cfg);
+  const MlgResult res = legalizeMacros(db, ctx, cfg);
   EXPECT_TRUE(res.legal) << "Om=" << res.overlapAfter;
 }
 
@@ -186,48 +192,53 @@ class BookshelfCorruption : public ::testing::Test {
 };
 
 TEST_F(BookshelfCorruption, MissingNodesFile) {
+  RuntimeContext ctx;
   std::filesystem::remove(dir_ + "/c.nodes");
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/c.aux", db);
+  const auto res = readBookshelf(dir_ + "/c.aux", db, ctx);
   EXPECT_FALSE(res.ok());
 }
 
 TEST_F(BookshelfCorruption, UnknownNodeInNets) {
+  RuntimeContext ctx;
   std::ofstream out(dir_ + "/c.nets", std::ios::app);
   out << "NetDegree : 2 bad\n  ghost B : 0 0\n  c0 B : 0 0\n";
   out.close();
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/c.aux", db);
+  const auto res = readBookshelf(dir_ + "/c.aux", db, ctx);
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.message().find("ghost"), std::string::npos);
 }
 
 TEST_F(BookshelfCorruption, PinLineOutsideNet) {
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/c.nets");
     out << "UCLA nets 1.0\nNumNets : 1\nNumPins : 1\n  c0 B : 0 0\n";
   }
   PlacementDB db;
-  EXPECT_FALSE(readBookshelf(dir_ + "/c.aux", db).ok());
+  EXPECT_FALSE(readBookshelf(dir_ + "/c.aux", db, ctx).ok());
 }
 
 TEST_F(BookshelfCorruption, TruncatedNodesLine) {
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/c.nodes");
     out << "UCLA nodes 1.0\nNumNodes : 1\nNumTerminals : 0\n  lonely\n";
   }
   PlacementDB db;
-  EXPECT_FALSE(readBookshelf(dir_ + "/c.aux", db).ok());
+  EXPECT_FALSE(readBookshelf(dir_ + "/c.aux", db, ctx).ok());
 }
 
 TEST_F(BookshelfCorruption, NonNumericTokensReportedWithLineNumber) {
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/c.nodes");
     out << "UCLA nodes 1.0\nNumNodes : 1\nNumTerminals : 0\n"
         << "  cell width height\n";  // words where numbers belong
   }
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/c.aux", db);
+  const auto res = readBookshelf(dir_ + "/c.aux", db, ctx);
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.code(), StatusCode::kInvalidInput);
   EXPECT_NE(res.message().find("non-numeric node dims"), std::string::npos);
@@ -238,63 +249,68 @@ TEST_F(BookshelfCorruption, NonNumericTokensReportedWithLineNumber) {
 TEST_F(BookshelfCorruption, TruncatedNodesCountMismatch) {
   // NumNodes promises 5 rows but the file ends after 2 — the classic
   // half-copied benchmark. Must be caught, not read as a 2-cell design.
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/c.nodes");
     out << "UCLA nodes 1.0\nNumNodes : 5\nNumTerminals : 0\n"
         << "  a 1 1\n  b 1 1\n";
   }
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/c.aux", db);
+  const auto res = readBookshelf(dir_ + "/c.aux", db, ctx);
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.message().find("truncated file?"), std::string::npos)
       << res.message();
 }
 
 TEST_F(BookshelfCorruption, NetPinCountMismatch) {
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/c.nets");
     out << "UCLA nets 1.0\nNumNets : 1\nNumPins : 3\n"
         << "NetDegree : 3 n0\n  c0 B : 0 0\n  c1 B : 0 0\n";
   }
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/c.aux", db);
+  const auto res = readBookshelf(dir_ + "/c.aux", db, ctx);
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.message().find("expects 3 pins, got 2"), std::string::npos)
       << res.message();
 }
 
 TEST_F(BookshelfCorruption, NumPinsTotalMismatch) {
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/c.nets");
     out << "UCLA nets 1.0\nNumNets : 1\nNumPins : 5\n"
         << "NetDegree : 2 n0\n  c0 B : 0 0\n  c1 B : 0 0\n";
   }
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/c.aux", db);
+  const auto res = readBookshelf(dir_ + "/c.aux", db, ctx);
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.message().find("NumPins declares 5"), std::string::npos)
       << res.message();
 }
 
 TEST_F(BookshelfCorruption, EmptyNetRejected) {
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/c.nets");
     out << "UCLA nets 1.0\nNumNets : 1\nNumPins : 0\nNetDegree : 0 n0\n";
   }
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/c.aux", db);
+  const auto res = readBookshelf(dir_ + "/c.aux", db, ctx);
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.message().find("zero pins"), std::string::npos)
       << res.message();
 }
 
 TEST_F(BookshelfCorruption, NonNumericPlCoordinates) {
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/c.pl");
     out << "UCLA pl 1.0\nc0 here there : N\n";
   }
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/c.aux", db);
+  const auto res = readBookshelf(dir_ + "/c.aux", db, ctx);
   EXPECT_FALSE(res.ok());
   EXPECT_NE(res.message().find("non-numeric coordinates"), std::string::npos);
   EXPECT_NE(res.message().find("c.pl:2:"), std::string::npos) << res.message();
@@ -306,20 +322,21 @@ TEST_F(BookshelfCorruption, InjectedMidFileTruncationNeverCrashes) {
   RuntimeContext ctx;
   ctx.faults().arm("bookshelf.line", {FaultKind::kTruncate, /*atTick=*/5, 1});
   PlacementDB db;
-  const auto res = readBookshelf(dir_ + "/c.aux", db, &ctx);
+  const auto res = readBookshelf(dir_ + "/c.aux", db, ctx);
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.code(), StatusCode::kInvalidInput);
 }
 
 TEST_F(BookshelfCorruption, ExtraWhitespaceAndCommentsAreFine) {
   // Robustness in the other direction: odd-but-legal formatting parses.
+  RuntimeContext ctx;
   {
     std::ofstream out(dir_ + "/c.aux");
     out << "# a comment\nRowBasedPlacement :   c.nodes   c.nets c.wts c.pl "
            "c.scl  \n";
   }
   PlacementDB db;
-  EXPECT_TRUE(readBookshelf(dir_ + "/c.aux", db).ok());
+  EXPECT_TRUE(readBookshelf(dir_ + "/c.aux", db, ctx).ok());
   EXPECT_EQ(db.objects.size(), db_.objects.size());
 }
 
@@ -362,7 +379,7 @@ TEST(Robustness, ThrowingPoolTaskSurfacesAsStatusNotTerminate) {
   spec.seed = 5;
   PlacementDB db = generateCircuit(spec);
   const StatusOr<FlowResult> res =
-      runSupervisedFlow(db, {}, plainPolicy(), nullptr, &ctx);
+      runSupervisedFlow(db, {}, ctx, plainPolicy());
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInternal);
   EXPECT_NE(res.status().message().find("parallel.task"), std::string::npos)
@@ -380,7 +397,7 @@ TEST(Robustness, PoolTaskFaultOnOneThreadStillTyped) {
   spec.seed = 6;
   PlacementDB db = generateCircuit(spec);
   const StatusOr<FlowResult> res =
-      runSupervisedFlow(db, {}, plainPolicy(), nullptr, &ctx);
+      runSupervisedFlow(db, {}, ctx, plainPolicy());
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInternal);
 }

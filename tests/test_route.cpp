@@ -5,6 +5,7 @@
 #include "gen/generator.h"
 #include "route/routability.h"
 #include "route/rudy.h"
+#include "util/context.h"
 
 namespace ep {
 namespace {
@@ -87,16 +88,17 @@ TEST(Rudy, SummaryScoresOrdered) {
 }
 
 TEST(Routability, RefineReducesHotspotAndStaysLegal) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.name = "route";
   spec.numCells = 800;
   spec.locality = 0.9;  // tight clusters -> congestion hotspots
   spec.seed = 12;
   PlacementDB db = generateCircuit(spec);
-  runSupervisedFlow(db, {}, plainPolicy());
+  runSupervisedFlow(db, {}, ctx, plainPolicy());
   ASSERT_TRUE(checkLegality(db).legal);
 
-  const RoutabilityResult res = routabilityDrivenRefine(db);
+  const RoutabilityResult res = routabilityDrivenRefine(db, ctx);
   EXPECT_TRUE(res.legal);
   // Hotspot must not get worse; some wirelength cost is acceptable.
   EXPECT_LE(res.hotspotAfter, res.hotspotBefore * 1.02);
@@ -104,6 +106,7 @@ TEST(Routability, RefineReducesHotspotAndStaysLegal) {
 }
 
 TEST(Routability, NoMovableCellsIsNoop) {
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 32, 32};
   Object o;
@@ -114,20 +117,21 @@ TEST(Routability, NoMovableCellsIsNoop) {
   o.kind = ObjKind::kMacro;
   db.objects.push_back(o);
   db.finalize();
-  const RoutabilityResult res = routabilityDrivenRefine(db);
+  const RoutabilityResult res = routabilityDrivenRefine(db, ctx);
   EXPECT_EQ(res.rounds, 0);
   EXPECT_DOUBLE_EQ(res.hpwlBefore, res.hpwlAfter);
 }
 
 TEST(Routability, RestoresTrueCellSizes) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.numCells = 300;
   spec.seed = 14;
   PlacementDB db = generateCircuit(spec);
   std::vector<double> widths;
   for (const auto& o : db.objects) widths.push_back(o.w);
-  runSupervisedFlow(db, {}, plainPolicy());
-  routabilityDrivenRefine(db);
+  runSupervisedFlow(db, {}, ctx, plainPolicy());
+  routabilityDrivenRefine(db, ctx);
   for (std::size_t i = 0; i < db.objects.size(); ++i) {
     EXPECT_DOUBLE_EQ(db.objects[i].w, widths[i]) << db.objects[i].name;
   }

@@ -46,7 +46,7 @@ TEST(ScaleTest, Supervised100kMultilevelFlowWithinBudgets) {
   SupervisorReport report;
 
   Timer t;
-  const auto run = runSupervisedFlow(db, cfg, sup, &report, &ctx);
+  const auto run = runSupervisedFlow(db, cfg, ctx, sup, &report);
   const double wall = t.seconds();
   ASSERT_TRUE(run.ok()) << run.status().message();
   EXPECT_TRUE(run->status.ok()) << run->status.message();

@@ -104,14 +104,15 @@ class SupervisorTest : public ::testing::Test {
 };
 
 TEST_F(SupervisorTest, SupervisedMatchesPlainFlowBitExact) {
+  RuntimeContext ctx;
   const FlowConfig cfg = traceConfig(nullptr);
   PlacementDB plain = stdInstance();
-  const auto refRun = runSupervisedFlow(plain, cfg, plainPolicy());
+  const auto refRun = runSupervisedFlow(plain, cfg, ctx, plainPolicy());
   ASSERT_TRUE(refRun.ok());
 
   PlacementDB sup = stdInstance();
   SupervisorReport report;
-  const auto supRun = runSupervisedFlow(sup, cfg, {}, &report);
+  const auto supRun = runSupervisedFlow(sup, cfg, ctx, {}, &report);
   ASSERT_TRUE(supRun.ok());
 
   // With no faults no retry fires, so the default policy must match the
@@ -131,9 +132,10 @@ TEST_F(SupervisorTest, SupervisedMatchesPlainFlowBitExact) {
 
 TEST_F(SupervisorTest, KilledRunResumesBitExactMidMgp) {
   // Reference: uninterrupted supervised run, trajectory recorded.
+  RuntimeContext ctx;
   std::vector<TraceRec> refTrace;
   PlacementDB ref = stdInstance();
-  const auto refRun = runSupervisedFlow(ref, traceConfig(&refTrace), {});
+  const auto refRun = runSupervisedFlow(ref, traceConfig(&refTrace), ctx);
   ASSERT_TRUE(refRun.ok());
 
   // "Killed" run: snapshots every 7 iterations, process dies at mGP #23.
@@ -144,8 +146,8 @@ TEST_F(SupervisorTest, KilledRunResumesBitExactMidMgp) {
     PlacementDB killed = stdInstance();
     EXPECT_THROW(
         {
-          auto r = runSupervisedFlow(killed, traceConfig(nullptr, "mGP", 23),
-                                     supCfg);
+          auto r = runSupervisedFlow(
+              killed, traceConfig(nullptr, "mGP", 23), ctx, supCfg);
           (void)r;
         },
         KillSignal);
@@ -159,7 +161,8 @@ TEST_F(SupervisorTest, KilledRunResumesBitExactMidMgp) {
   PlacementDB resumed = stdInstance();
   SupervisorReport report;
   const auto resRun =
-      runSupervisedFlow(resumed, traceConfig(&resTrace), resumeCfg, &report);
+      runSupervisedFlow(
+          resumed, traceConfig(&resTrace), ctx, resumeCfg, &report);
   ASSERT_TRUE(resRun.ok());
   EXPECT_TRUE(report.resumed);
   EXPECT_EQ(report.resumeStage, FlowStage::kMgp);
@@ -182,9 +185,10 @@ TEST_F(SupervisorTest, KilledRunResumesBitExactMidMgp) {
 }
 
 TEST_F(SupervisorTest, KilledRunResumesBitExactMidCgp) {
+  RuntimeContext ctx;
   std::vector<TraceRec> refTrace;
   PlacementDB ref = mixedInstance();
-  const auto refRun = runSupervisedFlow(ref, traceConfig(&refTrace), {});
+  const auto refRun = runSupervisedFlow(ref, traceConfig(&refTrace), ctx);
   ASSERT_TRUE(refRun.ok());
 
   SupervisorConfig supCfg;
@@ -194,8 +198,8 @@ TEST_F(SupervisorTest, KilledRunResumesBitExactMidCgp) {
     PlacementDB killed = mixedInstance();
     EXPECT_THROW(
         {
-          auto r = runSupervisedFlow(killed, traceConfig(nullptr, "cGP", 15),
-                                     supCfg);
+          auto r = runSupervisedFlow(
+              killed, traceConfig(nullptr, "cGP", 15), ctx, supCfg);
           (void)r;
         },
         KillSignal);
@@ -207,7 +211,8 @@ TEST_F(SupervisorTest, KilledRunResumesBitExactMidCgp) {
   PlacementDB resumed = mixedInstance();
   SupervisorReport report;
   const auto resRun =
-      runSupervisedFlow(resumed, traceConfig(&resTrace), resumeCfg, &report);
+      runSupervisedFlow(
+          resumed, traceConfig(&resTrace), ctx, resumeCfg, &report);
   ASSERT_TRUE(resRun.ok());
   EXPECT_TRUE(report.resumed);
   EXPECT_EQ(report.resumeStage, FlowStage::kCgp);
@@ -231,9 +236,10 @@ TEST_F(SupervisorTest, KilledRunResumesBitExactMidCgp) {
 }
 
 TEST_F(SupervisorTest, CorruptSnapshotsFallBackToPreviousGoodOne) {
+  RuntimeContext ctx;
   std::vector<TraceRec> refTrace;
   PlacementDB ref = stdInstance();
-  const auto refRun = runSupervisedFlow(ref, traceConfig(&refTrace), {});
+  const auto refRun = runSupervisedFlow(ref, traceConfig(&refTrace), ctx);
   ASSERT_TRUE(refRun.ok());
 
   SupervisorConfig supCfg;
@@ -244,8 +250,8 @@ TEST_F(SupervisorTest, CorruptSnapshotsFallBackToPreviousGoodOne) {
     PlacementDB killed = stdInstance();
     EXPECT_THROW(
         {
-          auto r = runSupervisedFlow(killed, traceConfig(nullptr, "mGP", 23),
-                                     supCfg);
+          auto r = runSupervisedFlow(
+              killed, traceConfig(nullptr, "mGP", 23), ctx, supCfg);
           (void)r;
         },
         KillSignal);
@@ -274,7 +280,7 @@ TEST_F(SupervisorTest, CorruptSnapshotsFallBackToPreviousGoodOne) {
   PlacementDB resumed = stdInstance();
   SupervisorReport report;
   const auto resRun =
-      runSupervisedFlow(resumed, traceConfig(nullptr), resumeCfg, &report);
+      runSupervisedFlow(resumed, traceConfig(nullptr), ctx, resumeCfg, &report);
   ASSERT_TRUE(resRun.ok());
   EXPECT_TRUE(report.resumed);
   EXPECT_GE(report.snapshotsRejected, 2);
@@ -295,7 +301,7 @@ TEST_F(SupervisorTest, LegalizeFaultRetriesThenFallsBackToGreedy) {
   PlacementDB db = stdInstance();
   SupervisorReport report;
   const auto run =
-      runSupervisedFlow(db, traceConfig(nullptr), {}, &report, &ctx);
+      runSupervisedFlow(db, traceConfig(nullptr), ctx, {}, &report);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->status.ok()) << run->status.toString();
   EXPECT_TRUE(run->legality.legal) << run->legality.firstIssue;
@@ -314,7 +320,7 @@ TEST_F(SupervisorTest, DetailFaultRollsBackToLegalizedPlacement) {
   PlacementDB db = stdInstance();
   SupervisorReport report;
   const auto run =
-      runSupervisedFlow(db, traceConfig(nullptr), {}, &report, &ctx);
+      runSupervisedFlow(db, traceConfig(nullptr), ctx, {}, &report);
   ASSERT_TRUE(run.ok());
   EXPECT_TRUE(run->status.ok()) << run->status.toString();
   EXPECT_TRUE(run->legality.legal) << run->legality.firstIssue;
@@ -331,12 +337,13 @@ TEST_F(SupervisorTest, DetailFaultRollsBackToLegalizedPlacement) {
 TEST_F(SupervisorTest, MacroOverlapAfterMlgIsAStageNoteNotARunFailure) {
   // 80 macros at rho_t 0.9: mLG leaves some macro overlap, and cGP + cDP
   // still place the cells legally around the frozen macros.
+  RuntimeContext ctx;
   for (const bool plain : {true, false}) {
     SCOPED_TRACE(plain ? "plain policy" : "default policy");
     PlacementDB db = generateCircuit(suiteSpec("mms_newblue2s"));
     SupervisorReport report;
     const auto run = runSupervisedFlow(
-        db, {}, plain ? plainPolicy() : SupervisorConfig{}, &report);
+        db, {}, ctx, plain ? plainPolicy() : SupervisorConfig{}, &report);
     ASSERT_TRUE(run.ok()) << run.status().toString();
     EXPECT_TRUE(run->status.ok()) << run->status.toString();
     EXPECT_TRUE(run->legality.legal) << run->legality.firstIssue;
@@ -356,6 +363,7 @@ TEST_F(SupervisorTest, OverflowingSnapshotNameIsNotPartOfTheRing) {
   // Not written by any run: its number does not fit the sequence type.
   // Read with wrap-around it would be snapshot 1, numbering would restart
   // at 2, and the ring would prune (delete) a file it never wrote.
+  RuntimeContext ctx;
   const fs::path foreign = dir_ / "snap_4294967297.epsnap";
   std::ofstream(foreign) << "foreign";
   SupervisorConfig supCfg;
@@ -368,7 +376,7 @@ TEST_F(SupervisorTest, OverflowingSnapshotNameIsNotPartOfTheRing) {
     }
   };
   PlacementDB db = stdInstance();
-  ASSERT_TRUE(runSupervisedFlow(db, traceConfig(nullptr), supCfg).ok());
+  ASSERT_TRUE(runSupervisedFlow(db, traceConfig(nullptr), ctx, supCfg).ok());
   ASSERT_FALSE(seqs.empty());
   EXPECT_EQ(seqs.front(), 0);
   EXPECT_TRUE(fs::exists(foreign));

@@ -5,6 +5,7 @@
 #include "gen/generator.h"
 #include "timing/sta.h"
 #include "timing/timing_driven.h"
+#include "util/context.h"
 
 namespace ep {
 namespace {
@@ -41,8 +42,9 @@ PlacementDB chain() {
 }
 
 TEST(Sta, ChainArrivalTimesExact) {
+  RuntimeContext ctx;
   const PlacementDB db = chain();
-  const StaResult res = staAnalyze(db);
+  const StaResult res = staAnalyze(db, ctx);
   EXPECT_DOUBLE_EQ(res.arrival[0], 0.0);
   EXPECT_DOUBLE_EQ(res.arrival[1], 10.0);
   EXPECT_DOUBLE_EQ(res.arrival[2], 30.0);
@@ -52,14 +54,16 @@ TEST(Sta, ChainArrivalTimesExact) {
 }
 
 TEST(Sta, AutoClockGivesZeroWns) {
-  const StaResult res = staAnalyze(chain());
+  RuntimeContext ctx;
+  const StaResult res = staAnalyze(chain(), ctx);
   EXPECT_DOUBLE_EQ(res.clockPeriod, 70.0);
   EXPECT_DOUBLE_EQ(res.wns, 0.0);
   EXPECT_DOUBLE_EQ(res.tns, 0.0);
 }
 
 TEST(Sta, TightClockProducesNegativeSlack) {
-  const StaResult res = staAnalyze(chain(), 50.0);
+  RuntimeContext ctx;
+  const StaResult res = staAnalyze(chain(), ctx, 50.0);
   EXPECT_DOUBLE_EQ(res.wns, -20.0);
   EXPECT_DOUBLE_EQ(res.tns, -20.0);
   // Every net on the single path carries the same worst slack.
@@ -69,7 +73,8 @@ TEST(Sta, TightClockProducesNegativeSlack) {
 }
 
 TEST(Sta, CriticalityBounds) {
-  const StaResult res = staAnalyze(chain(), 70.0);
+  RuntimeContext ctx;
+  const StaResult res = staAnalyze(chain(), ctx, 70.0);
   for (std::size_t e = 0; e < 3; ++e) {
     EXPECT_GE(res.criticality(e), 0.0);
     EXPECT_LE(res.criticality(e), 1.0);
@@ -79,6 +84,7 @@ TEST(Sta, CriticalityBounds) {
 }
 
 TEST(Sta, SidePathHasLowerCriticality) {
+  RuntimeContext ctx;
   PlacementDB db = chain();
   // Add a short side branch: a -> s (tiny delay), endpoint s.
   Object s;
@@ -92,11 +98,12 @@ TEST(Sta, SidePathHasLowerCriticality) {
   n.pins = {{1, 0, 0, PinDir::kOutput}, {4, 0, 0, PinDir::kInput}};
   db.nets.push_back(n);
   db.finalize();
-  const StaResult res = staAnalyze(db);
+  const StaResult res = staAnalyze(db, ctx);
   EXPECT_LT(res.criticality(3), res.criticality(0));
 }
 
 TEST(Sta, CombinationalLoopIsCutNotHung) {
+  RuntimeContext ctx;
   PlacementDB db = chain();
   // b -> a creates a cycle.
   Net back;
@@ -104,27 +111,29 @@ TEST(Sta, CombinationalLoopIsCutNotHung) {
   back.pins = {{2, 0, 0, PinDir::kOutput}, {1, 0, 0, PinDir::kInput}};
   db.nets.push_back(back);
   db.finalize();
-  const StaResult res = staAnalyze(db);
+  const StaResult res = staAnalyze(db, ctx);
   EXPECT_GT(res.cutCycleEdges, 0);
   EXPECT_TRUE(std::isfinite(res.maxDelay));
 }
 
 TEST(Sta, FallsBackToFirstPinWithoutDirections) {
+  RuntimeContext ctx;
   PlacementDB db = chain();
   for (auto& net : db.nets) {
     for (auto& pin : net.pins) pin.dir = PinDir::kUnknown;
   }
-  const StaResult res = staAnalyze(db);
+  const StaResult res = staAnalyze(db, ctx);
   // First pin is the driver in our construction, so results are unchanged.
   EXPECT_DOUBLE_EQ(res.maxDelay, 70.0);
 }
 
 TEST(Sta, GeneratedCircuitIsAnalyzable) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.numCells = 600;
   spec.seed = 77;
   const PlacementDB db = generateCircuit(spec);
-  const StaResult res = staAnalyze(db);
+  const StaResult res = staAnalyze(db, ctx);
   EXPECT_GT(res.maxDelay, 0.0);
   EXPECT_NEAR(res.wns, 0.0, 1e-9);  // auto clock (float round-off allowed)
   // Slack must be finite for nets with real edges.
@@ -136,35 +145,39 @@ TEST(Sta, GeneratedCircuitIsAnalyzable) {
 }
 
 TEST(Sta, CriticalityOfNetWithoutEdgesIsZero) {
+  RuntimeContext ctx;
   PlacementDB db = chain();
   Net lone;
   lone.name = "lone";
   lone.pins = {{0, 0, 0, PinDir::kOutput}};  // single pin: no timing edge
   db.nets.push_back(lone);
   db.finalize();
-  const StaResult res = staAnalyze(db);
+  const StaResult res = staAnalyze(db, ctx);
   EXPECT_DOUBLE_EQ(res.criticality(3), 0.0);
 }
 
 TEST(Sta, EmptyDesignIsSafe) {
+  RuntimeContext ctx;
   PlacementDB db;
   db.region = {0, 0, 10, 10};
   db.finalize();
-  const StaResult res = staAnalyze(db);
+  const StaResult res = staAnalyze(db, ctx);
   EXPECT_DOUBLE_EQ(res.maxDelay, 0.0);
   EXPECT_DOUBLE_EQ(res.wns, 0.0);
   EXPECT_GT(res.clockPeriod, 0.0);  // falls back to a positive default
 }
 
 TEST(Sta, PinOffsetsAffectDelay) {
+  RuntimeContext ctx;
   PlacementDB db = chain();
   // Push the driver pin of n0 1 unit right: the first edge shortens.
   db.nets[0].pins[0].ox = 1.0;
-  const StaResult res = staAnalyze(db);
+  const StaResult res = staAnalyze(db, ctx);
   EXPECT_DOUBLE_EQ(res.arrival[1], 9.0);
 }
 
 TEST(TimingDriven, ImprovesOrHoldsWnsAndStaysLegal) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.name = "td";
   spec.numCells = 500;
@@ -172,7 +185,7 @@ TEST(TimingDriven, ImprovesOrHoldsWnsAndStaysLegal) {
   PlacementDB db = generateCircuit(spec);
   TimingDrivenConfig cfg;
   cfg.rounds = 1;
-  const TimingDrivenResult res = timingDrivenPlace(db, cfg);
+  const TimingDrivenResult res = timingDrivenPlace(db, ctx, cfg);
   EXPECT_TRUE(res.legal);
   // Best-of-rounds is kept, so WNS can only improve or hold.
   EXPECT_GE(res.wnsAfter, res.wnsBefore - 1e-9);
@@ -181,13 +194,14 @@ TEST(TimingDriven, ImprovesOrHoldsWnsAndStaysLegal) {
 }
 
 TEST(TimingDriven, ClockTargetDerivedFromSeedRun) {
+  RuntimeContext ctx;
   GenSpec spec;
   spec.numCells = 300;
   spec.seed = 23;
   PlacementDB db = generateCircuit(spec);
   TimingDrivenConfig cfg;
   cfg.rounds = 0;  // seed run only
-  const TimingDrivenResult res = timingDrivenPlace(db, cfg);
+  const TimingDrivenResult res = timingDrivenPlace(db, ctx, cfg);
   EXPECT_NEAR(res.clockPeriod, cfg.clockFactor * res.maxDelayBefore,
               1e-6 * res.clockPeriod);
 }

@@ -170,7 +170,8 @@ TEST(Timer, MeasuresSomething) {
 TEST(Csv, WritesRows) {
   const std::string path = ::testing::TempDir() + "/ep_csv_test.csv";
   {
-    CsvWriter w(path, {"a", "b"});
+    const LogSink log;
+    CsvWriter w(path, {"a", "b"}, log);
     ASSERT_TRUE(w.ok());
     w.row(std::vector<double>{1.0, 2.5});
   }
