@@ -6,7 +6,8 @@
 //     --plot <file.ppm>      render the final layout
 //     --no-detail            stop after legalization
 //     --checkpoint-every <n> rollback checkpoint cadence in GP iterations
-//     --time-budget <sec>    wall-clock watchdog per placement stage
+//     --time-budget <sec>    wall-clock deadline for the whole run, timed
+//                            from session start (per design in --batch)
 //     --max-recoveries <n>   rollback attempts before graceful degradation
 //     --supervised           the default supervisor policy (per-stage retry
 //                            and fallbacks) instead of the plain one-attempt
@@ -17,8 +18,6 @@
 //                            (0 = stage boundaries only)
 //     --resume <dir>         resume from the newest valid snapshot in <dir>
 //                            (implies --supervised)
-//     --stage-budget <sec>   wall budget for each of mGP, mLG, cGP and cDP
-//                            (mIP runs once with no budget)
 //     --stage-attempts <n>   per-stage retry cap for the supervisor
 //     --multilevel           multilevel V-cycle mGP for large designs
 //                            (implies --supervised; docs/SCALING.md)
@@ -142,6 +141,7 @@ int place(ep::PlacerSession& session, const std::string& outDir,
 int main(int argc, char** argv) {
   std::string aux, outDir, plotPath, batchPath, recordOut;
   double density = 0.0;
+  double wallBudget = 0.0;
   int threads = 0;
   int sessions = 2;
   ep::LogLevel logLevel = ep::LogLevel::kWarn;
@@ -164,7 +164,7 @@ int main(int argc, char** argv) {
     } else if (a == "--checkpoint-every" && i + 1 < argc) {
       cfg.gp.health.checkpointEvery = std::atoi(argv[++i]);
     } else if (a == "--time-budget" && i + 1 < argc) {
-      cfg.gp.health.timeBudgetSeconds = std::atof(argv[++i]);
+      wallBudget = std::atof(argv[++i]);
     } else if (a == "--max-recoveries" && i + 1 < argc) {
       cfg.gp.health.maxRecoveries = std::atoi(argv[++i]);
     } else if (a == "--supervised") {
@@ -178,19 +178,9 @@ int main(int argc, char** argv) {
     } else if (a == "--resume" && i + 1 < argc) {
       sup.resumeDir = argv[++i];
       supervised = true;
-    } else if (a == "--stage-budget" && i + 1 < argc) {
-      const double budget = std::atof(argv[++i]);
-      sup.mgp.timeBudgetSeconds = budget;
-      sup.mlg.timeBudgetSeconds = budget;
-      sup.cgp.timeBudgetSeconds = budget;
-      sup.cdp.timeBudgetSeconds = budget;
-      supervised = true;
     } else if (a == "--stage-attempts" && i + 1 < argc) {
-      const int attempts = std::atoi(argv[++i]);
-      sup.mgp.maxAttempts = attempts;
-      sup.mlg.maxAttempts = attempts;
-      sup.cgp.maxAttempts = attempts;
-      sup.cdp.maxAttempts = attempts;
+      sup.mgpAttempts = sup.mlgAttempts = sup.cgpAttempts = sup.cdpAttempts =
+          std::atoi(argv[++i]);
       supervised = true;
     } else if (a == "--multilevel") {
       sup.multilevel.enabled = true;
@@ -245,6 +235,7 @@ int main(int argc, char** argv) {
   ep::SessionOptions so;
   so.threads = threads;
   so.logLevel = logLevel;
+  so.wallBudgetSeconds = wallBudget;
   so.flow = cfg;
   so.supervised = supervised;
   so.sup = sup;

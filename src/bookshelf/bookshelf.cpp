@@ -141,21 +141,16 @@ struct AuxFiles {
   std::string nodes, nets, pl, scl, wts;
 };
 
-Status resolveAux(const std::string& auxPath, AuxFiles& files,
-                  RuntimeContext& rc) {
-  std::ifstream aux(auxPath);
-  if (!aux) return ioFail(rc, "cannot open " + auxPath);
+/// Parses an .aux file: every token ending in .nodes/.nets/.pl/.scl/.wts
+/// names that file. `next(line)` yields the comment-stripped lines, so each
+/// pass keeps its own reader (and its own relation to the fault injector).
+template <typename NextLine>
+Status parseAux(const std::string& auxPath, NextLine&& next, AuxFiles& files,
+                RuntimeContext& rc) {
   std::string line;
   std::vector<std::string_view> t;
-  // Plain getline, not LineScanner: the counting pass must never consume
-  // "bookshelf.line" fault events — those belong to the fill pass, and the
-  // injector's event sequence has to match a non-counting read exactly.
-  while (std::getline(aux, line)) {
-    std::string_view sv(line);
-    if (const auto hash = sv.find('#'); hash != std::string_view::npos) {
-      sv = sv.substr(0, hash);
-    }
-    splitTokens(sv, t);
+  while (next(line)) {
+    splitTokens(line, t);
     for (const auto tok : t) {
       auto ends = [&](std::string_view suffix) {
         return tok.size() > suffix.size() &&
@@ -174,6 +169,23 @@ Status resolveAux(const std::string& auxPath, AuxFiles& files,
   }
   files.dir = dirOf(auxPath) + "/";
   return {};
+}
+
+Status resolveAux(const std::string& auxPath, AuxFiles& files,
+                  RuntimeContext& rc) {
+  std::ifstream aux(auxPath);
+  if (!aux) return ioFail(rc, "cannot open " + auxPath);
+  // Plain getline, not LineScanner: the counting pass must never consume
+  // "bookshelf.line" fault events — those belong to the fill pass, and the
+  // injector's event sequence has to match a non-counting read exactly.
+  const auto next = [&aux](std::string& line) {
+    if (!std::getline(aux, line)) return false;
+    if (const auto hash = line.find('#'); hash != std::string::npos) {
+      line.erase(hash);
+    }
+    return true;
+  };
+  return parseAux(auxPath, next, files, rc);
 }
 
 /// Counting pass over one file: returns the declared header count when
@@ -296,32 +308,17 @@ Status readBookshelfImpl(const std::string& auxPath, PlacementDB& db,
   std::ifstream aux(auxPath);
   if (!aux) return ioFail(rc, "cannot open " + auxPath);
   AuxFiles files;
-  std::string line;
-  std::vector<std::string_view> t;
   {
     // LineScanner (not resolveAux) so the aux file participates in the
     // "bookshelf.line" fault site exactly as it always has.
     LineScanner sc(aux, auxPath, rc);
-    while (sc.next(line)) {
-      splitTokens(line, t);
-      for (const auto tok : t) {
-        auto ends = [&](std::string_view suffix) {
-          return tok.size() > suffix.size() &&
-                 tok.substr(tok.size() - suffix.size()) == suffix;
-        };
-        if (ends(".nodes")) files.nodes = std::string(tok);
-        if (ends(".nets")) files.nets = std::string(tok);
-        if (ends(".pl")) files.pl = std::string(tok);
-        if (ends(".scl")) files.scl = std::string(tok);
-        if (ends(".wts")) files.wts = std::string(tok);
-      }
+    const auto next = [&sc](std::string& line) { return sc.next(line); };
+    if (const Status s = parseAux(auxPath, next, files, rc); !s.ok()) {
+      return s;
     }
   }
-  if (files.nodes.empty() || files.nets.empty() || files.pl.empty()) {
-    rc.log().warn("bookshelf: %s lists no nodes/nets/pl", auxPath.c_str());
-    return Status::invalidInput(auxPath + " lists no nodes/nets/pl");
-  }
-  files.dir = dirOf(auxPath) + "/";
+  std::string line;
+  std::vector<std::string_view> t;
   const std::string& dir = files.dir;
   const std::string& nodesFile = files.nodes;
   const std::string& netsFile = files.nets;

@@ -369,17 +369,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
 
   NesterovOptimizer opt = eng.makeOptimizer();
 
-  // The stage watchdog honors both the configured budget and the context's
-  // session-wide wall-clock deadline, whichever expires first.
-  HealthConfig health = cfg_.health;
-  const double remaining = ctx_.remainingSeconds();
-  if (std::isfinite(remaining)) {
-    const double rem = std::max(1e-3, remaining);
-    health.timeBudgetSeconds = health.timeBudgetSeconds > 0.0
-                                   ? std::min(health.timeBudgetSeconds, rem)
-                                   : rem;
-  }
-  HealthMonitor monitor(health);
+  HealthMonitor monitor(cfg_.health);
   double prevHpwl = 0.0;
   double refHpwl = 0.0;
   double startTau = 0.0;
@@ -448,26 +438,30 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
   best.hpwl = prevHpwl;
   best.iter = startIter;
 
-  Timer wall;
   int recoveries = 0;
 
   int iter = startIter;
   for (; iter < cfg_.maxIterations; ++iter) {
-    // Cooperative cancellation: polled alongside the health watchdog so a
-    // cancel lands within one iteration. The best-so-far (or current, when
-    // finite) state is returned exactly like a watchdog timeout — durable
-    // mid-stage snapshots written before the cancel stay valid, so a
-    // preempted job resumes the same trajectory bit-exactly.
-    if (ctx_.cancelled()) {
-      result.status = Status::cancelled(
-          "stage cancelled (" + ctx_.cancelReason() +
-          "); best-so-far returned");
+    // The context's cancel token and wall-clock deadline, polled once per
+    // iteration: either stop lands within one iteration. The current state
+    // is returned when finite (it passed its last health check), the
+    // best-so-far checkpoint otherwise. Durable mid-stage snapshots written
+    // before the stop stay valid, so a preempted job resumes the same
+    // trajectory bit-exactly.
+    const bool cancelled = ctx_.cancelled();
+    if (cancelled || ctx_.deadlineExceeded()) {
+      result.status =
+          cancelled ? Status::cancelled("stage cancelled (" +
+                                        ctx_.cancelReason() +
+                                        "); best-so-far returned")
+                    : Status::timeout("run deadline passed; best-so-far "
+                                      "returned");
       if (!allFinite(opt.solution())) {
         opt.restore(best.snap);
         eng.lambda = best.lambda;
       }
-      ctx_.log().warn("GP: cancelled at iter %d (%s)", iter,
-                      ctx_.cancelReason().c_str());
+      ctx_.log().warn("GP: stopped at iter %d: %s", iter,
+                      result.status.message().c_str());
       break;
     }
     const auto info = opt.step();
@@ -476,22 +470,7 @@ GpResult GlobalPlacer::run(TraceFn trace, const GpRunControl& ctl) {
     const double tau = eng.overflow(opt.solution());
 
     const HealthEvent ev = monitor.observe(iter, curHpwl, tau, opt.solution(),
-                                           info.gradNorm, wall.seconds());
-    if (ev == HealthEvent::kTimeout) {
-      result.timedOut = true;
-      result.status = Status::timeout(
-          "stage exceeded its wall-clock budget; best-so-far returned");
-      // The current state passed its last health check only if finite —
-      // otherwise hand back the checkpoint.
-      if (!allFinite(opt.solution())) {
-        opt.restore(best.snap);
-        eng.lambda = best.lambda;
-      }
-      ctx_.log().warn("GP: watchdog fired at iter %d after %.2fs", iter,
-                      wall.seconds());
-      ++iter;
-      break;
-    }
+                                           info.gradNorm);
     if (ev == HealthEvent::kNonFinite || ev == HealthEvent::kDiverged) {
       if (recoveries >= cfg_.health.maxRecoveries) {
         // Graceful degradation: return the best checkpoint with a typed

@@ -46,8 +46,8 @@ struct GpConfig {
   /// Override the initial lambda (cGP uses lambda_mGP * 1.1^-m, Sec. VI-B).
   std::optional<double> initialLambda;
   std::uint64_t fillerSeed = 7;
-  /// Numerical health monitoring, checkpoint/rollback recovery and the
-  /// per-stage wall-clock watchdog (docs/ROBUSTNESS.md).
+  /// Numerical health monitoring and checkpoint/rollback recovery
+  /// (docs/ROBUSTNESS.md).
   HealthConfig health;
 };
 
@@ -73,11 +73,11 @@ struct GpResult {
   long backtracks = 0;
   /// OK on a normal run (including graceful target miss at the iteration
   /// cap); kNumericalDivergence when the recovery budget was exhausted and
-  /// the best checkpoint was returned; kTimeout when the stage watchdog
-  /// fired (best-so-far state returned).
+  /// the best checkpoint was returned; kTimeout or kCancelled when the
+  /// context's deadline passed or its cancel token fired (best-so-far state
+  /// returned).
   Status status;
-  int recoveries = 0;      ///< rollback-and-recover events that succeeded
-  bool timedOut = false;   ///< stage wall-clock budget expired
+  int recoveries = 0;  ///< rollback-and-recover events that succeeded
   /// Wall seconds in the density (charge stamping, spectral solve, field
   /// gather) and wirelength (WA gradient) halves of every gradient
   /// evaluation: the Fig. 7 split. "Other" is the stage's seconds minus

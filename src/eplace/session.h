@@ -39,8 +39,9 @@ struct SessionOptions {
   std::uint64_t seed = 0x9e3779b97f4a7c15ULL;
   LogLevel logLevel = LogLevel::kWarn;
   bool logTimestamps = true;
-  /// Wall-clock budget for the whole session; <= 0 = unbounded. Stage
-  /// watchdogs clamp their own budgets to what remains.
+  /// Wall-clock deadline for the whole session, timed from construction;
+  /// <= 0 = unbounded. The run's only wall-clock limit
+  /// (RuntimeOptions::wallBudgetSeconds).
   double wallBudgetSeconds = 0.0;
   /// Memory cap in MiB for the session's big allocations (view/CSR build,
   /// arena growth, snapshot buffers, bin grid); 0 = unlimited. A breach is

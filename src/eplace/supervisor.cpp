@@ -124,12 +124,10 @@ struct Supervisor {
     if (sup.onProgress) sup.onProgress(ev);
   }
 
-  /// A stage may continue only while its own budget, the context's
-  /// session-wide deadline, and the cancel token all have slack. A
-  /// cancelled context stops retries exactly like an exhausted budget.
-  [[nodiscard]] bool budgetLeft(const StagePolicy& pol, const Timer& t) const {
-    if (rc.cancelled() || rc.deadlineExceeded()) return false;
-    return pol.timeBudgetSeconds <= 0.0 || t.seconds() < pol.timeBudgetSeconds;
+  /// A stage may start another attempt only while the context is neither
+  /// cancelled nor past its deadline.
+  [[nodiscard]] bool budgetLeft() const {
+    return !rc.cancelled() && !rc.deadlineExceeded();
   }
 
   /// Serialization cost of the next checkpoint, charged against the memory
@@ -493,7 +491,7 @@ struct Supervisor {
 
   void runGpStage(FlowStage stage) {
     const bool isMgp = stage == FlowStage::kMgp;
-    const StagePolicy& pol = isMgp ? sup.mgp : sup.cgp;
+    const int maxAttempts = isMgp ? sup.mgpAttempts : sup.cgpAttempts;
     StageReport rep;
     rep.stage = stage;
     Timer t;
@@ -502,7 +500,7 @@ struct Supervisor {
     const FillerSet entryFillers = st.fillers;
     bool accepted = false;
     bool memBreach = false;
-    for (int attempt = 0; attempt < std::max(1, pol.maxAttempts); ++attempt) {
+    for (int attempt = 0; attempt < std::max(1, maxAttempts); ++attempt) {
       if (attempt > 0) {
         restorePositions(db, entry);
         st.fillers = entryFillers;
@@ -537,10 +535,6 @@ struct Supervisor {
           appendNote(rep, "retry with relaxed target overflow");
         }
       }
-      if (pol.timeBudgetSeconds > 0.0) {
-        st.cfg.gp.health.timeBudgetSeconds =
-            std::max(1e-3, pol.timeBudgetSeconds - t.seconds());
-      }
       GpRunControl ctl;
       if (attempt == 0 && resume.hasGp && resume.next == stage &&
           resume.level < 0) {
@@ -567,7 +561,7 @@ struct Supervisor {
         memBreach = true;
         rep.status = Status::resourceExhausted(e.what());
         rc.stats().add("supervisor.memBreaches", 1.0);
-        if (!budgetLeft(pol, t)) break;
+        if (!budgetLeft()) break;
         continue;
       }
       const GpResult& r = isMgp ? st.res.mgpResult : st.res.cgpResult;
@@ -577,14 +571,14 @@ struct Supervisor {
         accepted = true;
         break;
       }
-      if (gate && (attempt + 1 >= pol.maxAttempts || !budgetLeft(pol, t))) {
+      if (gate && (attempt + 1 >= maxAttempts || !budgetLeft())) {
         // Out of retries (or time) but the placement is usable: keep the
         // degraded result; flowFinish reports the stage status.
         accepted = true;
         appendNote(rep, "accepted degraded result");
         break;
       }
-      if (!gate && !budgetLeft(pol, t)) break;
+      if (!gate && !budgetLeft()) break;
     }
     st.cfg.gp = baseGp;
     if (resume.hasGp && resume.next == stage) resume.hasGp = false;
@@ -621,8 +615,7 @@ struct Supervisor {
     const auto entry = capturePositions(db);
     const MlgConfig base = st.cfg.mlg;
     bool legal = false;
-    for (int attempt = 0; attempt < std::max(1, sup.mlg.maxAttempts);
-         ++attempt) {
+    for (int attempt = 0; attempt < std::max(1, sup.mlgAttempts); ++attempt) {
       if (attempt > 0) {
         restorePositions(db, entry);
         // Perturbed retry: re-seeded annealer with a longer schedule.
@@ -635,7 +628,7 @@ struct Supervisor {
       ++rep.attempts;
       flowStageMlg(db, st);
       legal = st.res.mlgResult.legal && movablesFiniteInCore(db);
-      if (legal || !budgetLeft(sup.mlg, t)) break;
+      if (legal || !budgetLeft()) break;
     }
     st.cfg.mlg = base;
     if (!legal) {
@@ -683,10 +676,15 @@ struct Supervisor {
     rep.stage = FlowStage::kCdp;
     Timer t;
     const auto entry = capturePositions(db);
-    const double preHpwl = hpwl(db);
+    // The HPWL cap measures legalization against a spread placement. A GP
+    // stage that the deadline stopped short hands over an unspread one,
+    // whose HPWL is no reference; legality alone gates the result then.
+    const GpResult& gp = st.mixedSize ? st.res.cgpResult : st.res.mgpResult;
+    const double preHpwl =
+        gp.status.code() == StatusCode::kTimeout ? 0.0 : hpwl(db);
     bool legalOk = false;
     for (int attempt = 0;
-         attempt < std::max(1, sup.cdp.maxAttempts) && !legalOk; ++attempt) {
+         attempt < std::max(1, sup.cdpAttempts) && !legalOk; ++attempt) {
       if (attempt > 0) {
         restorePositions(db, entry);
         jitterStdCells();
@@ -695,7 +693,7 @@ struct Supervisor {
       ++rep.attempts;
       st.res.legalizeResult = legalizeCells(db, rc);
       legalOk = legalGateOk(preHpwl);
-      if (!legalOk && !budgetLeft(sup.cdp, t)) break;
+      if (!legalOk && !budgetLeft()) break;
     }
     if (!legalOk && sup.allowFallbacks) {
       restorePositions(db, entry);
@@ -860,9 +858,7 @@ struct Supervisor {
 
 SupervisorConfig plainPolicy() {
   SupervisorConfig sup;
-  for (StagePolicy* p : {&sup.mgp, &sup.mlg, &sup.cgp, &sup.cdp}) {
-    p->maxAttempts = 1;
-  }
+  sup.mgpAttempts = sup.mlgAttempts = sup.cgpAttempts = sup.cdpAttempts = 1;
   sup.allowFallbacks = false;
   return sup;
 }

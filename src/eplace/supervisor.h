@@ -15,13 +15,13 @@
 //     snapshot; a mid-GP snapshot resumes the exact iteration trajectory
 //     bit-exactly. Corrupt (truncated / bit-flipped) snapshots are detected
 //     by checksum and skipped in favor of the previous good one.
-//   * per-stage wall-clock budgets — GP stages get the remaining budget as
-//     their internal watchdog; mLG/cDP are checked between attempts.
+//   * one wall-clock deadline — the context's: the GP loop stops at the
+//     first iteration past it, and no stage starts another attempt.
 //   * bounded retries with perturbed parameters — relaxed target overflow
 //     and re-seeded fillers for GP stages, a re-seeded annealer with more
 //     outer iterations for mLG, jittered cell positions for legalization.
 //   * fallbacks — greedy Tetris-only legalization when the Abacus-style
-//     legalizer fails its gate or budget; detail placement is rolled back
+//     legalizer fails its gate; detail placement is rolled back
 //     (cDP "fallback") when it regresses HPWL or breaks legality.
 //   * inter-stage invariant gates — all movables finite and in-core after
 //     every stage; zero macro overlap after mLG (a stage note when it
@@ -59,11 +59,6 @@ enum class FlowStage : std::uint8_t {
 };
 
 const char* flowStageName(FlowStage s);
-
-struct StagePolicy {
-  int maxAttempts = 2;           ///< first try + retries
-  double timeBudgetSeconds = 0;  ///< whole-stage wall budget; 0 = unbounded
-};
 
 /// One streaming progress notification from the supervisor. The serving
 /// layer forwards these to watchers as NDJSON events; a CLI could render a
@@ -117,13 +112,15 @@ struct MultilevelConfig {
   int levelMaxIterations = 300;
 };
 
-/// mIP has no policy: it is deterministic (a retry would not differ) and
-/// runs once, unbudgeted, behind the finite/in-core gate.
+/// Attempts are first try + retries per stage. mIP has no count: it is
+/// deterministic (a retry would not differ) and runs once behind the
+/// finite/in-core gate. The only wall-clock limit is the context's deadline
+/// (RuntimeOptions::wallBudgetSeconds): no retry starts once it has passed.
 struct SupervisorConfig {
-  StagePolicy mgp{2, 0.0};
-  StagePolicy mlg{3, 0.0};
-  StagePolicy cgp{2, 0.0};
-  StagePolicy cdp{2, 0.0};
+  int mgpAttempts = 2;
+  int mlgAttempts = 3;
+  int cgpAttempts = 2;
+  int cdpAttempts = 2;
   /// Directory for durable snapshots; empty disables checkpointing.
   std::string snapshotDir;
   /// Resume from the newest valid snapshot in this directory (then keep

@@ -26,8 +26,6 @@ const char* healthEventName(HealthEvent e) {
       return "non-finite";
     case HealthEvent::kDiverged:
       return "diverged";
-    case HealthEvent::kTimeout:
-      return "timeout";
   }
   return "unknown";
 }
@@ -55,13 +53,7 @@ void HealthMonitor::resetAfterRollback(double hpwl, double overflow) {
 
 HealthEvent HealthMonitor::observe(int iter, double hpwl, double overflow,
                                    std::span<const double> positions,
-                                   double gradNorm, double elapsedSeconds) {
-  // The watchdog outranks everything: even a healthy run must stop cleanly
-  // when its budget expires.
-  if (cfg_.timeBudgetSeconds > 0.0 && elapsedSeconds > cfg_.timeBudgetSeconds) {
-    return HealthEvent::kTimeout;
-  }
-
+                                   double gradNorm) {
   if (!std::isfinite(hpwl) || !std::isfinite(overflow) ||
       !std::isfinite(gradNorm) || !allFinite(positions)) {
     return HealthEvent::kNonFinite;

@@ -5,8 +5,9 @@
 // iterate to NaN or flings every cell to the region boundary. The monitor
 // watches the cheap per-iteration signals — position/gradient finiteness,
 // a smoothed HPWL blow-up ratio, density-overflow regression past the best
-// level seen — plus the wall clock, and classifies each iteration so the
-// caller (GlobalPlacer) can roll back to a checkpoint or stop gracefully.
+// level seen — and classifies each iteration so the caller (GlobalPlacer)
+// can roll back to a checkpoint or stop gracefully. Wall-clock limits are
+// not its concern: the RuntimeContext deadline is the only one.
 // Thresholds and the recovery policy are documented in docs/ROBUSTNESS.md.
 #pragma once
 
@@ -20,15 +21,12 @@ struct HealthConfig {
   int checkpointEvery = 25;
   /// Rollback attempts before giving up and returning the best checkpoint.
   int maxRecoveries = 3;
-  /// Wall-clock watchdog for one placement stage; 0 disables it.
-  double timeBudgetSeconds = 0.0;
 };
 
 enum class HealthEvent {
   kOk = 0,
   kNonFinite,  ///< NaN/Inf in positions, HPWL, overflow or gradient norm
   kDiverged,   ///< finite but blowing up per the ratio/margin thresholds
-  kTimeout,    ///< stage wall-clock budget exhausted
 };
 
 const char* healthEventName(HealthEvent e);
@@ -38,10 +36,9 @@ class HealthMonitor {
   explicit HealthMonitor(HealthConfig cfg);
 
   /// Classifies one iteration. `positions` is the full variable vector of
-  /// the optimizer (scanned for NaN/Inf); `elapsedSeconds` is stage time.
+  /// the optimizer (scanned for NaN/Inf).
   HealthEvent observe(int iter, double hpwl, double overflow,
-                      std::span<const double> positions, double gradNorm,
-                      double elapsedSeconds);
+                      std::span<const double> positions, double gradNorm);
 
   /// True on iterations where the caller should refresh its checkpoint.
   [[nodiscard]] bool shouldCheckpoint(int iter) const;

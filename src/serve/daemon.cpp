@@ -172,6 +172,20 @@ struct ServeDaemon::Impl {
     cv.notify_all();
   }
 
+  /// Finishes a job that was cancelled before any session started: a
+  /// durable kCancelled result replaces its pending entry.
+  void finishUnstarted(std::uint64_t id, const std::string& name,
+                       const char* why, double queueWait) {
+    JobOutcome out;
+    out.id = id;
+    out.name = name;
+    out.status = Status::cancelled(why);
+    out.queueWaitSeconds = queueWait;
+    (void)store.writeResult(out);
+    store.removePending(id);
+    finishJob(id, out);
+  }
+
   /// Moves a record to kDone and records its outcome in the stats registry
   /// (satellite: per-job telemetry, dumped on shutdown).
   void finishJob(std::uint64_t id, JobOutcome outcome) {
@@ -243,14 +257,7 @@ struct ServeDaemon::Impl {
       spec.name = "job_" + std::to_string(id);
     }
     if (cancelledEarly) {
-      JobOutcome out;
-      out.id = id;
-      out.name = spec.name;
-      out.status = Status::cancelled("cancelled before dispatch");
-      out.queueWaitSeconds = queueWait;
-      (void)store.writeResult(out);
-      store.removePending(id);
-      finishJob(id, out);
+      finishUnstarted(id, spec.name, "cancelled before dispatch", queueWait);
       return;
     }
     addEvent(id, "started");
@@ -485,19 +492,20 @@ struct ServeDaemon::Impl {
     cv.notify_all();
     if (eraseFromQueue && queue.tryErase(id)) {
       // Still queued: terminal immediately, no session ever starts.
-      JobOutcome out;
-      out.id = id;
-      out.name = name;
-      out.status = Status::cancelled("cancelled while queued");
-      out.queueWaitSeconds = queueWait;
-      (void)store.writeResult(out);
-      store.removePending(id);
-      finishJob(id, out);
+      finishUnstarted(id, name, "cancelled while queued", queueWait);
     }
     // If tryErase lost the race the worker sees cancelRequested at claim
     // time (or the context token mid-flow) and finishes it as cancelled.
     JsonValue resp = okResponse();
     resp.set("cancelled", JsonValue::boolean(true));
+    return resp;
+  }
+
+  /// The terminal reply of result/wait/watch: `{ok, state: "done", result}`.
+  static JsonValue doneResponse(const JobOutcome& out) {
+    JsonValue resp = okResponse();
+    resp.set("state", JsonValue::str("done"));
+    resp.set("result", outcomeToJson(out));
     return resp;
   }
 
@@ -507,12 +515,7 @@ struct ServeDaemon::Impl {
       const auto it = jobs.find(id);
       if (it != jobs.end()) {
         const JobRecord& r = it->second;
-        if (r.state == JobState::kDone) {
-          JsonValue resp = okResponse();
-          resp.set("state", JsonValue::str("done"));
-          resp.set("result", outcomeToJson(r.outcome));
-          return resp;
-        }
+        if (r.state == JobState::kDone) return doneResponse(r.outcome);
         JsonValue resp = okResponse();
         resp.set("state", JsonValue::str(r.state == JobState::kQueued
                                              ? "queued"
@@ -522,12 +525,7 @@ struct ServeDaemon::Impl {
     }
     // Not in this daemon's table: maybe a previous run finished it.
     const StatusOr<JobOutcome> prev = store.readResult(id);
-    if (prev.ok()) {
-      JsonValue resp = okResponse();
-      resp.set("state", JsonValue::str("done"));
-      resp.set("result", outcomeToJson(*prev));
-      return resp;
-    }
+    if (prev.ok()) return doneResponse(*prev);
     return errorResponse(
         Status::invalidInput("unknown job id " + std::to_string(id)));
   }
@@ -554,10 +552,7 @@ struct ServeDaemon::Impl {
             "timeout"));
       }
     }
-    JsonValue resp = okResponse();
-    resp.set("state", JsonValue::str("done"));
-    resp.set("result", outcomeToJson(it->second.outcome));
-    return resp;
+    return doneResponse(it->second.outcome);
   }
 
   /// Streams buffered + live progress events, then the final result line.
@@ -585,9 +580,7 @@ struct ServeDaemon::Impl {
         cursor = r.events.size();
         if (r.state == JobState::kDone) {
           done = true;
-          closing = okResponse();
-          closing.set("state", JsonValue::str("done"));
-          closing.set("result", outcomeToJson(r.outcome));
+          closing = doneResponse(r.outcome);
         } else if (stopping.load()) {
           done = true;
           closing = errorResponse(

@@ -7,11 +7,12 @@
 //   * the root Rng stream (seed material for stochastic components),
 //   * a LogSink (per-session prefix + severity filter),
 //   * a StatsRegistry (named counters/gauges for telemetry),
-//   * an optional wall-clock deadline shared by every stage watchdog,
+//   * an optional wall-clock deadline, the run's only wall-clock limit,
 //   * a cooperative cancel token: any thread may requestCancel(), long
-//     loops (the Nesterov iteration, stage watchdogs) poll cancelled()
-//     alongside deadlineExceeded() and stop at the next safe point with a
-//     typed kCancelled status — positions stay finite, snapshots intact.
+//     loops (the Nesterov iteration, the supervisor's retry loops) poll
+//     cancelled() alongside deadlineExceeded() and stop at the next safe
+//     point with a typed kCancelled or kTimeout status — positions stay
+//     finite, snapshots intact.
 //
 // Ownership rules (see docs/ARCHITECTURE.md, "Runtime context & session"):
 // a context outlives everything it is handed to; engines and stage
@@ -26,7 +27,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <string>
@@ -88,7 +88,9 @@ struct RuntimeOptions {
   LogLevel logLevel = LogLevel::kWarn;
   bool logTimestamps = true;
   /// Wall-clock budget in seconds from context construction; <= 0 means no
-  /// deadline. Stage watchdogs clamp their own budgets to what remains.
+  /// deadline. It is the run's only wall-clock limit: the GP loop checks it
+  /// every iteration and stops with kTimeout, and the supervisor starts no
+  /// retry past it.
   double wallBudgetSeconds = 0.0;
   /// Memory cap in bytes for this context's big allocations (arena growth,
   /// view/CSR construction, snapshot buffers, bin grid); 0 = unlimited.
@@ -127,15 +129,10 @@ class RuntimeContext {
 
   /// Seconds since construction.
   [[nodiscard]] double elapsedSeconds() const { return clock_.seconds(); }
-  /// Seconds until the wall-clock deadline; +inf when no budget is set.
-  [[nodiscard]] double remainingSeconds() const {
-    if (wallBudgetSeconds_ <= 0.0) {
-      return std::numeric_limits<double>::infinity();
-    }
-    return wallBudgetSeconds_ - clock_.seconds();
-  }
+  /// True once the wall-clock deadline has passed; reads no clock when no
+  /// budget is set.
   [[nodiscard]] bool deadlineExceeded() const {
-    return remainingSeconds() <= 0.0;
+    return wallBudgetSeconds_ > 0.0 && clock_.seconds() >= wallBudgetSeconds_;
   }
 
   /// Requests cooperative cancellation. Safe from any thread (the serving

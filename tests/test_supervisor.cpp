@@ -2,11 +2,14 @@
 // checkpoint/resume (a killed run continues the exact iteration
 // trajectory), corrupt-snapshot fallback, the per-stage retry / fallback
 // paths under injected legalization and detail-placement faults,
-// leftover mLG macro overlap reported on the stage, not the run, and a
-// foreign snapshot file whose number overflows staying out of the ring.
+// leftover mLG macro overlap reported on the stage, not the run, an expired
+// context deadline stopping every GP stage, and a foreign snapshot file
+// whose number overflows staying out of the ring.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -357,6 +360,44 @@ TEST_F(SupervisorTest, MacroOverlapAfterMlgIsAStageNoteNotARunFailure) {
           << mlg->note;
     }
   }
+}
+
+TEST_F(SupervisorTest, ExpiredDeadlineStopsEveryGpStageAndStillLegalizes) {
+  // The context deadline is the run's only wall-clock limit. Once it has
+  // passed, each GP stage stops before its first iteration and starts no
+  // retry, and cDP still legalizes whatever mIP and mLG left.
+  std::vector<double> finalHpwl;
+  for (const int threads : {1, 4}) {
+    SCOPED_TRACE(threads);
+    RuntimeOptions opt;
+    opt.threads = threads;
+    opt.wallBudgetSeconds = 1e-9;
+    RuntimeContext ctx(opt);
+    while (!ctx.deadlineExceeded()) {
+    }
+    PlacementDB db = mixedInstance();
+    SupervisorReport report;
+    const auto run = runSupervisedFlow(db, {}, ctx, {}, &report);
+    ASSERT_TRUE(run.ok()) << run.status().toString();
+    EXPECT_EQ(run->status.code(), StatusCode::kTimeout)
+        << run->status.toString();
+    for (const FlowStage s : {FlowStage::kMgp, FlowStage::kCgp}) {
+      const StageReport* gp = findStage(report, s);
+      ASSERT_NE(gp, nullptr) << flowStageName(s);
+      EXPECT_EQ(gp->attempts, 1) << flowStageName(s);
+      EXPECT_EQ(gp->status.code(), StatusCode::kTimeout) << flowStageName(s);
+    }
+    EXPECT_EQ(run->mgpResult.iterations, 0);
+    EXPECT_EQ(run->cgpResult.iterations, 0);
+    const StageReport* cdp = findStage(report, FlowStage::kCdp);
+    ASSERT_NE(cdp, nullptr);
+    EXPECT_GE(cdp->attempts, 1);
+    EXPECT_TRUE(run->legality.legal) << run->legality.firstIssue;
+    finalHpwl.push_back(run->finalHpwl);
+  }
+  ASSERT_EQ(finalHpwl.size(), 2u);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(finalHpwl[0]),
+            std::bit_cast<std::uint64_t>(finalHpwl[1]));
 }
 
 TEST_F(SupervisorTest, OverflowingSnapshotNameIsNotPartOfTheRing) {
