@@ -93,21 +93,27 @@ void flowStageCdp(PlacementDB& db, FlowState& st) {
   st.res.cdp = flowStageMetrics(db, t.seconds(), st.res.detailResult.passes);
 }
 
+void flowComposeStatus(FlowResult& res, FlowStage stage,
+                       const Status& failure) {
+  if (!res.status.ok()) return;
+  if (stage > FlowStage::kMgp && !res.mgpResult.status.ok()) {
+    res.status = res.mgpResult.status;
+  } else if (stage > FlowStage::kCgp && !res.cgpResult.status.ok()) {
+    res.status = res.cgpResult.status;
+  } else {
+    res.status = failure;
+  }
+}
+
 void flowFinish(PlacementDB& db, FlowState& st) {
   FlowResult& res = st.res;
   res.finalHpwl = hpwl(db);
   res.finalScaledHpwl = scaledHpwl(db);
   res.legality = checkLegality(db);
   res.totalSeconds = st.total.seconds();
-  // First failing placement stage wins; later stages ran on its
-  // best-checkpoint placement, so their metrics are still meaningful.
-  if (res.status.ok()) {
-    if (!res.mgpResult.status.ok()) {
-      res.status = res.mgpResult.status;
-    } else if (!res.cgpResult.status.ok()) {
-      res.status = res.cgpResult.status;
-    }
-  }
+  // Later stages ran on the failing stage's best-checkpoint placement, so
+  // their metrics are still meaningful.
+  flowComposeStatus(res, FlowStage::kDone, Status());
   RuntimeContext& rc = *st.ctx;
   rc.stats().set("flow.finalHpwl", res.finalHpwl);
   rc.stats().set("flow.totalSeconds", res.totalSeconds);

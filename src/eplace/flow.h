@@ -15,6 +15,7 @@
 // plainPolicy() for the flow as published (one attempt per stage).
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -31,6 +32,18 @@
 namespace ep {
 
 class RuntimeContext;
+
+/// The flow's stages in the order they run. It is also the stage cursor
+/// persisted in snapshots: the next stage a resumed run executes. kDone
+/// snapshots hold the finished placement.
+enum class FlowStage : std::uint8_t {
+  kMip = 0,
+  kMgp,
+  kMlg,
+  kCgp,
+  kCdp,
+  kDone,
+};
 
 struct FlowConfig {
   GpConfig gp;  ///< used by mGP and (with rewound lambda) cGP
@@ -114,7 +127,14 @@ void flowStageMlg(PlacementDB& db, FlowState& st);
 void flowFreezeMacros(PlacementDB& db);
 void flowStageCgp(PlacementDB& db, FlowState& st, const GpRunControl& ctl = {});
 void flowStageCdp(PlacementDB& db, FlowState& st);
+/// Makes `failure`, the failure of `stage`, the run's status unless an
+/// earlier stage failed first: the first failing stage wins. mGP and cGP
+/// keep a degraded result they accepted on their GpResult only, so the
+/// statuses of the GP stages before `stage` are folded in first.
+void flowComposeStatus(FlowResult& res, FlowStage stage,
+                       const Status& failure);
 /// Final metrics / legality / status aggregation plus the summary log line.
+/// The status folds in every GP stage's (flowComposeStatus at kDone).
 void flowFinish(PlacementDB& db, FlowState& st);
 
 }  // namespace ep

@@ -602,7 +602,7 @@ struct Supervisor {
             " failed the finite/in-core invariant gate on every attempt");
         appendNote(rep, "rolled back to stage-entry positions");
       }
-      if (st.res.status.ok()) st.res.status = rep.status;
+      flowComposeStatus(st.res, stage, rep.status);
     }
     rep.seconds = t.seconds();
     finishStage(rep);
@@ -643,7 +643,7 @@ struct Supervisor {
                        : Status::numericalDivergence(
                              "mLG left macro overlap after every attempt");
       appendNote(rep, "macro overlap remains");
-      if (rc.cancelled() && st.res.status.ok()) st.res.status = rep.status;
+      if (rc.cancelled()) flowComposeStatus(st.res, FlowStage::kMlg, rep.status);
     }
     rep.seconds = t.seconds();
     finishStage(rep);
@@ -714,7 +714,7 @@ struct Supervisor {
                              "legalization failed the legality/HPWL gate on "
                              "every path");
       appendNote(rep, "kept global placement result");
-      if (st.res.status.ok()) st.res.status = rep.status;
+      flowComposeStatus(st.res, FlowStage::kCdp, rep.status);
     } else {
       const auto postLegal = capturePositions(db);
       const double postLegalHpwl = hpwl(db);
@@ -779,11 +779,10 @@ struct Supervisor {
     }
     while (next != FlowStage::kDone) {
       if (rc.cancelled()) {
-        if (st.res.status.ok()) {
-          st.res.status = Status::cancelled("flow cancelled before " +
+        flowComposeStatus(st.res, next,
+                          Status::cancelled("flow cancelled before " +
                                             std::string(flowStageName(next)) +
-                                            " (" + rc.cancelReason() + ")");
-        }
+                                            " (" + rc.cancelReason() + ")"));
         rc.log().warn("supervisor: cancelled before %s (%s)",
                       flowStageName(next), rc.cancelReason().c_str());
         break;
@@ -838,10 +837,9 @@ struct Supervisor {
         // last pre-cancel (mid-stage) snapshot, so a resumed run replays the
         // remaining iterations of the interrupted stage bit-exactly instead
         // of accepting its truncated result as a stage boundary.
-        if (st.res.status.ok()) {
-          st.res.status =
-              Status::cancelled("flow cancelled (" + rc.cancelReason() + ")");
-        }
+        flowComposeStatus(
+            st.res, next,
+            Status::cancelled("flow cancelled (" + rc.cancelReason() + ")"));
         break;
       }
       saveSnapshot(next, nullptr);

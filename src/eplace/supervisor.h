@@ -47,17 +47,6 @@
 
 namespace ep {
 
-/// Stage cursor persisted in snapshots: the next stage a resumed run
-/// executes. kDone snapshots hold the finished placement.
-enum class FlowStage : std::uint8_t {
-  kMip = 0,
-  kMgp,
-  kMlg,
-  kCgp,
-  kCdp,
-  kDone,
-};
-
 const char* flowStageName(FlowStage s);
 
 /// One streaming progress notification from the supervisor. The serving

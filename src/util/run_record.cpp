@@ -509,4 +509,68 @@ RegressResult compareRunRecords(const RunRecord& baseline,
   return std::move(g.out);
 }
 
+std::vector<DeltaField> runRecordDeltaFields(const RunRecord& before,
+                                             const RunRecord& after) {
+  std::vector<DeltaField> fields{
+      {"final hpwl", before.finalHpwl, after.finalHpwl}};
+  for (const StageRecord& b : before.stages) {
+    for (const StageRecord& a : after.stages) {
+      if (a.stage != b.stage) continue;
+      fields.push_back({b.stage + " iters", static_cast<double>(b.iterations),
+                        static_cast<double>(a.iterations)});
+      break;
+    }
+  }
+  return fields;
+}
+
+StatusOr<std::vector<DeltaField>> jsonDeltaFields(std::string_view before,
+                                                  std::string_view after) {
+  StatusOr<JsonValue> b = parseJson(before);
+  if (!b.ok()) return b.status();
+  StatusOr<JsonValue> a = parseJson(after);
+  if (!a.ok()) return a.status();
+  if (!b->isObject() || !a->isObject()) {
+    return Status::invalidInput("delta table: expected a JSON object");
+  }
+  std::vector<DeltaField> fields;
+  for (const auto& [key, value] : b->members()) {
+    const JsonValue* other = a->find(key);
+    if (value.isNumber() && other != nullptr && other->isNumber()) {
+      fields.push_back({key, value.asNumber(), other->asNumber()});
+    }
+  }
+  return fields;
+}
+
+std::string deltaTableHeader(const std::vector<DeltaField>& fields) {
+  std::string names = "| file |";
+  std::string rule = "|---|";
+  for (const DeltaField& f : fields) {
+    names += " " + f.name + " |";
+    rule += "---|";
+  }
+  return names + "\n" + rule + "\n";
+}
+
+std::string deltaTableRow(const std::string& label,
+                          const std::vector<DeltaField>& fields) {
+  std::string row = "| " + label + " |";
+  char cell[128];
+  for (const DeltaField& f : fields) {
+    if (doubleBits(f.before) == doubleBits(f.after)) {
+      std::snprintf(cell, sizeof cell, " %.10g (=) |", f.before);
+    } else if (f.before != 0.0) {
+      std::snprintf(cell, sizeof cell, " %.10g -> %.10g (%+.3f%%) |",
+                    f.before, f.after,
+                    100.0 * (f.after - f.before) / std::fabs(f.before));
+    } else {
+      std::snprintf(cell, sizeof cell, " %.10g -> %.10g |", f.before,
+                    f.after);
+    }
+    row += cell;
+  }
+  return row + "\n";
+}
+
 }  // namespace ep

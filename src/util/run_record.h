@@ -27,6 +27,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -159,5 +160,38 @@ struct RegressResult {
 RegressResult compareRunRecords(const RunRecord& baseline,
                                 const std::vector<RunRecord>& candidates,
                                 const RegressPolicy& policy = {});
+
+// ---------------------------------------------------------------------------
+// Regeneration delta table
+// ---------------------------------------------------------------------------
+
+/// One value of a regenerated file (a golden or a baseline): before and
+/// after the regeneration.
+struct DeltaField {
+  std::string name;
+  double before = 0.0;
+  double after = 0.0;
+};
+
+/// The final HPWL and every stage's iterations, `before` against `after`.
+/// Stages are matched by name; a stage in only one record is left out.
+std::vector<DeltaField> runRecordDeltaFields(const RunRecord& before,
+                                             const RunRecord& after);
+
+/// Every numeric member of two flat JSON objects (the tests/goldens
+/// files), matched by key, in `before`'s order. kInvalidInput when either
+/// text is not a JSON object.
+StatusOr<std::vector<DeltaField>> jsonDeltaFields(std::string_view before,
+                                                  std::string_view after);
+
+/// The markdown header and separator lines for rows of `fields`: a label
+/// column, then one column per field name.
+std::string deltaTableHeader(const std::vector<DeltaField>& fields);
+
+/// One markdown row. A cell reads `before -> after (+x.xxx%)`, or
+/// `value (=)` when the value's bits did not change, so a table of
+/// unchanged files holds no `->`.
+std::string deltaTableRow(const std::string& label,
+                          const std::vector<DeltaField>& fields);
 
 }  // namespace ep

@@ -12,8 +12,11 @@
 //
 // rewrites every golden file in the source tree (the directory is baked in
 // via the EP_GOLDEN_DIR compile definition) and reports the runs as passed.
-// Commit the regenerated files together with the change that shifted them,
-// and say why in the commit message.
+// Before overwriting a golden it prints the file's markdown delta-table row
+// (HPWL, overflow and iterations, old -> new with the relative delta; the
+// same table as `eplace_regress --delta`). Commit the regenerated files
+// together with the change that shifted them, and quote the table in the
+// commit message.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -28,6 +31,7 @@
 #include "qp/initial_place.h"
 #include "util/context.h"
 #include "util/parallel.h"
+#include "util/run_record.h"
 
 namespace ep {
 namespace {
@@ -81,9 +85,7 @@ bool jsonNumber(const std::string& text, const std::string& key,
   return true;
 }
 
-void writeGolden(const GoldenCase& c, const Metrics& m) {
-  std::ofstream f(goldenPath(c));
-  ASSERT_TRUE(f.good()) << "cannot write " << goldenPath(c);
+std::string goldenText(const GoldenCase& c, const Metrics& m) {
   char buf[256];
   std::snprintf(buf, sizeof buf,
                 "{\n"
@@ -95,7 +97,14 @@ void writeGolden(const GoldenCase& c, const Metrics& m) {
                 "}\n",
                 static_cast<unsigned long long>(c.seed), c.cells, m.hpwl,
                 m.overflow, m.iterations);
-  f << buf;
+  return buf;
+}
+
+std::string readText(const std::string& path) {
+  std::ifstream f(path);
+  std::stringstream ss;
+  ss << f.rdbuf();
+  return ss.str();
 }
 
 class GoldenMetrics : public ::testing::TestWithParam<int> {};
@@ -105,18 +114,25 @@ TEST_P(GoldenMetrics, MgpMatchesCommittedGolden) {
   const Metrics m = runCase(c);
 
   if (std::getenv("EP_UPDATE_GOLDENS") != nullptr) {
-    writeGolden(c, m);
-    std::printf("updated %s (hpwl %.17g, overflow %.17g, iters %d)\n",
-                goldenPath(c).c_str(), m.hpwl, m.overflow, m.iterations);
+    const std::string text = goldenText(c, m);
+    if (std::ifstream(goldenPath(c)).good()) {
+      const auto fields = jsonDeltaFields(readText(goldenPath(c)), text);
+      ASSERT_TRUE(fields.ok()) << fields.status().toString();
+      if (GetParam() == 0) std::printf("%s", deltaTableHeader(*fields).c_str());
+      std::printf("%s", deltaTableRow("mgp_seed" + std::to_string(c.seed),
+                                      *fields)
+                            .c_str());
+    }
+    std::ofstream f(goldenPath(c));
+    ASSERT_TRUE(f.good()) << "cannot write " << goldenPath(c);
+    f << text;
     return;
   }
 
-  std::ifstream f(goldenPath(c));
-  ASSERT_TRUE(f.good()) << "missing golden " << goldenPath(c)
-                        << "; run EP_UPDATE_GOLDENS=1 ./test_golden";
-  std::stringstream ss;
-  ss << f.rdbuf();
-  const std::string text = ss.str();
+  ASSERT_TRUE(std::ifstream(goldenPath(c)).good())
+      << "missing golden " << goldenPath(c)
+      << "; run EP_UPDATE_GOLDENS=1 ./test_golden";
+  const std::string text = readText(goldenPath(c));
 
   double goldHpwl = 0.0, goldOverflow = 0.0, goldIters = 0.0;
   ASSERT_TRUE(jsonNumber(text, "hpwl", &goldHpwl));

@@ -15,9 +15,10 @@
 //   EP_UPDATE_BASELINES=1 ./build/tests/test_regression
 //
 // rewrites tests/baselines/*.json in the source tree (path baked in via the
-// EP_BASELINE_DIR compile definition) and reports the runs as passed. Commit
-// the regenerated files together with the change that shifted them, and say
-// why in the commit message. Wall-clock fields in committed baselines are
+// EP_BASELINE_DIR compile definition) and reports the runs as passed. It
+// first prints each baseline's delta-table row, as eplace_regress --update
+// does. Commit the regenerated files together with the change that shifted
+// them, and quote the table in the commit message. Wall-clock fields in committed baselines are
 // never compared by this test (checkWall=false) — they are machine-specific;
 // the synthetic half covers the banding logic.
 #include <gtest/gtest.h>
@@ -280,6 +281,12 @@ TEST_P(CommittedBaseline, FixedSeedFlowMatchesCommittedRecord) {
   const RunRecord rec = runBaselineCase(c);
 
   if (std::getenv("EP_UPDATE_BASELINES") != nullptr) {
+    if (const StatusOr<RunRecord> old = readRunRecordFile(baselinePath(c));
+        old.ok()) {
+      const auto fields = runRecordDeltaFields(old.value(), rec);
+      std::printf("%s%s", deltaTableHeader(fields).c_str(),
+                  deltaTableRow(c.name, fields).c_str());
+    }
     ASSERT_TRUE(writeRunRecordFile(baselinePath(c), rec).ok());
     std::printf("updated %s (hpwl %s)\n", baselinePath(c).c_str(),
                 hexBits64(rec.finalHpwlBits).c_str());

@@ -3,8 +3,9 @@
 // trajectory), corrupt-snapshot fallback, the per-stage retry / fallback
 // paths under injected legalization and detail-placement faults,
 // leftover mLG macro overlap reported on the stage, not the run, an expired
-// context deadline stopping every GP stage, and a foreign snapshot file
-// whose number overflows staying out of the ring.
+// context deadline stopping every GP stage, the first failing stage winning
+// the run's status, and a foreign snapshot file whose number overflows
+// staying out of the ring.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -398,6 +399,34 @@ TEST_F(SupervisorTest, ExpiredDeadlineStopsEveryGpStageAndStillLegalizes) {
   ASSERT_EQ(finalHpwl.size(), 2u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(finalHpwl[0]),
             std::bit_cast<std::uint64_t>(finalHpwl[1]));
+}
+
+TEST_F(SupervisorTest, DegradedMgpThenFailingCdpReportsMgpStatus) {
+  // The first failing stage wins the run's status. An expired deadline
+  // stops mGP, which is accepted degraded with kTimeout; every legalization
+  // pass is then corrupted, so cDP fails too. The run reports mGP's
+  // status, not cDP's.
+  RuntimeOptions opt;
+  opt.wallBudgetSeconds = 1e-9;
+  RuntimeContext ctx(opt);
+  while (!ctx.deadlineExceeded()) {
+  }
+  ctx.faults().arm(
+      "legalize.displace",
+      {FaultKind::kSpike, /*atTick=*/0, /*count=*/-1, /*magnitude=*/1e9});
+  PlacementDB db = stdInstance();
+  SupervisorReport report;
+  const auto run = runSupervisedFlow(db, {}, ctx, plainPolicy(), &report);
+  ASSERT_TRUE(run.ok()) << run.status().toString();
+  const StageReport* mgp = findStage(report, FlowStage::kMgp);
+  const StageReport* cdp = findStage(report, FlowStage::kCdp);
+  ASSERT_NE(mgp, nullptr);
+  ASSERT_NE(cdp, nullptr);
+  EXPECT_EQ(mgp->status.code(), StatusCode::kTimeout) << mgp->status.toString();
+  EXPECT_EQ(cdp->status.code(), StatusCode::kNumericalDivergence)
+      << cdp->status.toString();
+  EXPECT_EQ(run->status.code(), StatusCode::kTimeout)
+      << run->status.toString();
 }
 
 TEST_F(SupervisorTest, OverflowingSnapshotNameIsNotPartOfTheRing) {

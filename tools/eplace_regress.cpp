@@ -13,18 +13,29 @@
 //                  --candidate run1.json [--candidate run2.json ...]
 //                  [--wall-band 0.5] [--min-wall-ms 20] [--no-wall]
 //                  [--update]
+//   eplace_regress --delta <old> <new> [--delta <old> <new> ...]
 //
 // Exit codes: 0 gate passed, 1 gate failed, 2 usage / I/O error.
 //
 // --update (or EP_UPDATE_BASELINES=1 in the environment) rewrites the
 // baseline from the first candidate instead of comparing — the same
-// regeneration workflow as the goldens (EP_UPDATE_GOLDENS).
+// regeneration workflow as the goldens (EP_UPDATE_GOLDENS). It first
+// prints the markdown delta table of the baseline it replaces: final HPWL
+// and per-stage iterations, old -> new with the relative delta.
+//
+// --delta prints that table for pairs of files without writing anything:
+// run records, or the flat JSON goldens of tests/goldens (every numeric
+// member). A value whose bits did not change prints as `value (=)`, so the
+// table of a file against itself holds no `->`.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "util/io.h"
 #include "util/run_record.h"
 #include "util/status.h"
 
@@ -35,9 +46,53 @@ int usage(const char* argv0) {
                "usage: %s --baseline <file> --candidate <file> "
                "[--candidate <file> ...]\n"
                "          [--wall-band <frac>] [--min-wall-ms <ms>] "
-               "[--no-wall] [--update]\n",
-               argv0);
+               "[--no-wall] [--update]\n"
+               "       %s --delta <old> <new> [--delta <old> <new> ...]\n",
+               argv0, argv0);
   return 2;
+}
+
+/// Prints the delta table row of one old/new pair, with a header whenever
+/// the columns differ from the previous row's. False (after a message on
+/// stderr) when either file cannot be read or parsed.
+bool printDelta(const std::string& oldPath, const std::string& newPath,
+                std::vector<ep::DeltaField>* lastFields) {
+  std::vector<ep::DeltaField> fields;
+  std::string label = std::filesystem::path(oldPath).stem().string();
+  ep::StatusOr<ep::RunRecord> oldRec = ep::readRunRecordFile(oldPath);
+  if (oldRec.ok()) {
+    ep::StatusOr<ep::RunRecord> newRec = ep::readRunRecordFile(newPath);
+    if (!newRec.ok()) {
+      std::fprintf(stderr, "%s: %s\n", newPath.c_str(),
+                   newRec.status().toString().c_str());
+      return false;
+    }
+    fields = ep::runRecordDeltaFields(oldRec.value(), newRec.value());
+  } else {
+    const ep::StatusOr<std::string> oldText = ep::io::readFile(oldPath);
+    const ep::StatusOr<std::string> newText = ep::io::readFile(newPath);
+    if (!oldText.ok() || !newText.ok()) {
+      std::fprintf(stderr, "cannot read %s or %s\n", oldPath.c_str(),
+                   newPath.c_str());
+      return false;
+    }
+    ep::StatusOr<std::vector<ep::DeltaField>> json =
+        ep::jsonDeltaFields(oldText.value(), newText.value());
+    if (!json.ok()) {
+      std::fprintf(stderr, "%s vs %s: %s\n", oldPath.c_str(),
+                   newPath.c_str(), json.status().toString().c_str());
+      return false;
+    }
+    fields = std::move(json).value();
+  }
+  bool sameColumns = fields.size() == lastFields->size();
+  for (std::size_t i = 0; sameColumns && i < fields.size(); ++i) {
+    sameColumns = fields[i].name == (*lastFields)[i].name;
+  }
+  if (!sameColumns) std::fputs(ep::deltaTableHeader(fields).c_str(), stdout);
+  std::fputs(ep::deltaTableRow(label, fields).c_str(), stdout);
+  *lastFields = std::move(fields);
+  return true;
 }
 
 }  // namespace
@@ -45,6 +100,7 @@ int usage(const char* argv0) {
 int main(int argc, char** argv) {
   std::string baselinePath;
   std::vector<std::string> candidatePaths;
+  std::vector<std::pair<std::string, std::string>> deltaPairs;
   ep::RegressPolicy policy;
   bool update = false;
   if (const char* env = std::getenv("EP_UPDATE_BASELINES");
@@ -66,10 +122,20 @@ int main(int argc, char** argv) {
       policy.checkWall = false;
     } else if (arg == "--update") {
       update = true;
+    } else if (arg == "--delta" && i + 2 < argc) {
+      deltaPairs.emplace_back(argv[i + 1], argv[i + 2]);
+      i += 2;
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return usage(argv[0]);
     }
+  }
+  if (!deltaPairs.empty()) {
+    std::vector<ep::DeltaField> lastFields;
+    for (const auto& [oldPath, newPath] : deltaPairs) {
+      if (!printDelta(oldPath, newPath, &lastFields)) return 2;
+    }
+    return 0;
   }
   if (baselinePath.empty() || candidatePaths.empty()) return usage(argv[0]);
 
@@ -86,6 +152,11 @@ int main(int argc, char** argv) {
   }
 
   if (update) {
+    std::vector<ep::DeltaField> noColumns;
+    if (std::filesystem::exists(baselinePath) &&
+        !printDelta(baselinePath, candidatePaths[0], &noColumns)) {
+      return 2;
+    }
     const ep::Status wr = ep::writeRunRecordFile(baselinePath, candidates[0]);
     if (!wr.ok()) {
       std::fprintf(stderr, "baseline update %s: %s\n", baselinePath.c_str(),
