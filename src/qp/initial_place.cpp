@@ -17,7 +17,8 @@ namespace ep {
 namespace {
 
 constexpr int kCgMaxIterations = 300;
-constexpr double kCgTolerance = 1e-6;
+/// Relative residual at which each CG solve stops; see kMipOuterIterations.
+constexpr double kCgTolerance = 1e-3;
 /// Weight of the weak anchor to the region center added to every movable
 /// when the design has no fixed pins (keeps the system SPD).
 constexpr double kFallbackAnchor = 1e-6;

@@ -10,8 +10,12 @@ namespace ep {
 class RuntimeContext;
 
 /// B2B rebuild count: mIP's outer iterations, recorded as its stage
-/// iterations.
-inline constexpr int kMipOuterIterations = 8;
+/// iterations. mIP only seeds mGP, whose density term erases most of the
+/// seed's structure: 2 rounds at a CG tolerance of 1e-3 reach the final
+/// HPWL of 8 rounds at 1e-6 within the noise of mIP's jitter seed on the
+/// ISPD 2005, ISPD 2006 and MMS suites, at a tenth of the work (the sweep
+/// is in EXPERIMENTS.md, "mIP effort").
+inline constexpr int kMipOuterIterations = 2;
 
 struct InitialPlaceResult {
   double hpwlBefore = 0.0;

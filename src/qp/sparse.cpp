@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <utility>
 
 #include "util/parallel.h"
 #include "util/stats.h"
@@ -56,27 +58,73 @@ void CooBuilder::addSpring(std::int32_t i, std::int32_t j, double w) {
 }
 
 Csr CooBuilder::build() && {
-  auto& sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(), [](const Entry& a, const Entry& b) {
-    return a.row != b.row ? a.row < b.row : a.col < b.col;
-  });
+  // Stable counting sort by row, in place: each entry's destination is its
+  // row's next free slot, taken in insertion order, and a cycle walk moves
+  // every entry there. Besides the CSR, only the destinations (4 B an
+  // entry) and one slot per row are extra: the entries are not copied.
+  const std::size_t count = entries_.size();
+  assert(count < std::size_t{1} << 32);
   Csr m;
   m.n = n_;
   m.start.assign(static_cast<std::size_t>(n_) + 1, 0);
-  for (std::size_t k = 0; k < sorted.size();) {
-    std::size_t j = k;
-    double sum = 0.0;
-    while (j < sorted.size() && sorted[j].row == sorted[k].row &&
-           sorted[j].col == sorted[k].col) {
-      sum += sorted[j].val;
-      ++j;
-    }
-    m.col.push_back(sorted[k].col);
-    m.val.push_back(sum);
-    ++m.start[static_cast<std::size_t>(sorted[k].row) + 1];
-    k = j;
-  }
+  for (const Entry& e : entries_) ++m.start[static_cast<std::size_t>(e.row) + 1];
   for (std::size_t i = 1; i < m.start.size(); ++i) m.start[i] += m.start[i - 1];
+  {
+    std::vector<std::uint32_t> dest(count);
+    std::vector<std::int32_t> next(m.start.begin(), m.start.end() - 1);
+    for (std::size_t k = 0; k < count; ++k) {
+      dest[k] = static_cast<std::uint32_t>(
+          next[static_cast<std::size_t>(entries_[k].row)]++);
+    }
+    for (std::size_t k = 0; k < count; ++k) {
+      while (dest[k] != k) {
+        const std::uint32_t j = dest[k];
+        std::swap(entries_[k], entries_[j]);
+        std::swap(dest[k], dest[j]);
+      }
+    }
+  }
+
+  // Within each row, in insertion order: the first entry of a column takes
+  // the row's next output slot (`slot` maps a column to it) and later
+  // duplicates are summed into it. The unique entries are compacted to the
+  // front of the array, then sorted by column (an insertion sort: rows hold
+  // a handful of entries).
+  std::vector<std::int32_t> slot(static_cast<std::size_t>(n_), -1);
+  std::size_t nnz = 0;
+  for (std::int32_t r = 0; r < n_; ++r) {
+    const auto b = static_cast<std::size_t>(m.start[static_cast<std::size_t>(r)]);
+    const auto e =
+        static_cast<std::size_t>(m.start[static_cast<std::size_t>(r) + 1]);
+    const std::size_t rowBegin = nnz;
+    m.start[static_cast<std::size_t>(r)] = static_cast<std::int32_t>(nnz);
+    for (std::size_t k = b; k < e; ++k) {
+      const Entry cur = entries_[k];
+      auto& s = slot[static_cast<std::size_t>(cur.col)];
+      if (s < m.start[static_cast<std::size_t>(r)]) {  // first in this row
+        s = static_cast<std::int32_t>(nnz);
+        entries_[nnz++] = cur;
+      } else {
+        entries_[static_cast<std::size_t>(s)].val += cur.val;
+      }
+    }
+    for (std::size_t k = rowBegin + 1; k < nnz; ++k) {
+      const Entry cur = entries_[k];
+      std::size_t j = k;
+      for (; j > rowBegin && entries_[j - 1].col > cur.col; --j) {
+        entries_[j] = entries_[j - 1];
+      }
+      entries_[j] = cur;
+    }
+  }
+  m.start[static_cast<std::size_t>(n_)] = static_cast<std::int32_t>(nnz);
+
+  m.col.resize(nnz);
+  m.val.resize(nnz);
+  for (std::size_t k = 0; k < nnz; ++k) {
+    m.col[k] = entries_[k].col;
+    m.val[k] = entries_[k].val;
+  }
   std::vector<Entry>().swap(entries_);
   return m;
 }

@@ -26,7 +26,8 @@ struct Csr {
 };
 
 /// Accumulates symmetric quadratic-form entries and compresses to CSR.
-/// Duplicate coordinates are summed during build.
+/// Duplicate coordinates are summed during build, in the order they were
+/// added, so the CSR values depend only on the sequence of add calls.
 class CooBuilder {
  public:
   explicit CooBuilder(std::int32_t n) : n_(n) {}
@@ -43,8 +44,10 @@ class CooBuilder {
   /// Reserves room for `entries` accumulated coordinates.
   void reserve(std::size_t entries) { entries_.reserve(entries); }
 
-  /// Sorts the entries in place, sums duplicates into CSR, and frees the
-  /// entries: the builder is consumed.
+  /// Counting-sorts the entries by row in place (stable), sorts each row
+  /// by column, sums duplicates into CSR with columns ascending in each
+  /// row, and frees the entries: the builder is consumed. Transient memory
+  /// is the entries, 4 B per entry of sort scratch and the CSR.
   [[nodiscard]] Csr build() &&;
   [[nodiscard]] std::int32_t size() const { return n_; }
 

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "eplace/checkpoint.h"
 #include "eplace/global_placer.h"
 #include "eval/metrics.h"
 #include "legal/detail.h"
@@ -48,10 +50,18 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
     return res;
   }
 
+  // The layout with the lowest hotspot score seen so far: a round that
+  // raises the score is undone before returning.
+  double bestScore = res.hotspotBefore;
+  std::vector<double> best = capturePositions(db);
   double prevScore = res.hotspotBefore;
   for (int round = 0; round < kMaxRounds; ++round) {
     const CongestionMap rudy = estimateRudy(db);
     if (round > 0) {
+      if (rudy.hotspot < bestScore) {
+        bestScore = rudy.hotspot;
+        best = capturePositions(db);
+      }
       const double improvement = (prevScore - rudy.hotspot) / prevScore;
       if (improvement < kMinImprovement) break;
       prevScore = rudy.hotspot;
@@ -103,7 +113,11 @@ RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
     ++res.rounds;
   }
 
-  const CongestionMap m1 = estimateRudy(db);
+  CongestionMap m1 = estimateRudy(db);
+  if (m1.hotspot > bestScore) {
+    restorePositions(db, best);
+    m1 = estimateRudy(db);
+  }
   res.hotspotAfter = m1.hotspot;
   res.peakAfter = m1.peak;
   res.hpwlAfter = hpwl(db);

@@ -25,7 +25,9 @@ struct RoutabilityResult {
 
 /// Takes a *placed* (post-flow) design and trades wirelength for routing
 /// hotspot relief. Standard cells only; macros stay fixed. The layout is
-/// legalized again before returning. The re-placement, legalization and
+/// legalized again before returning. A round that raises the hotspot score
+/// is undone: the result is the lowest-hotspot layout seen, the input
+/// included. The re-placement, legalization and
 /// detail passes borrow `ctx` (pool, faults, log, stats).
 RoutabilityResult routabilityDrivenRefine(PlacementDB& db,
                                           RuntimeContext& ctx);

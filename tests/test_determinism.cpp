@@ -127,12 +127,13 @@ TEST_F(Determinism, OddThreadCountMatchesToo) {
 TEST_F(Determinism, InitialPlaceOneThreeFourThreads) {
   // scale_1k stays below the pool's grain (its CG runs inline);
   // mms_bigblue2s has ~3.2k movables, so the SpMV and vector updates are
-  // really split, unevenly at 3 threads.
+  // really split, unevenly at 3 and 7 threads.
   for (const char* name : {"scale_1k", "mms_bigblue2s"}) {
     SCOPED_TRACE(name);
     const std::vector<double> serial = runMip(name, 1);
     expectBitIdentical(serial, runMip(name, 3));
     expectBitIdentical(serial, runMip(name, 4));
+    expectBitIdentical(serial, runMip(name, 7));
   }
 }
 

@@ -43,6 +43,75 @@ TEST(Sparse, AddSpring) {
   EXPECT_DOUBLE_EQ(y[1], -8.0);
 }
 
+TEST(Sparse, DuplicatesSumInInsertionOrder) {
+  // 1e16 + 1 rounds back to 1e16, so the sum of {1e16, 1, -1e16} is 0 in
+  // that order and 1 in the order {1e16, -1e16, 1}. Entries of other rows
+  // are interleaved with the duplicates.
+  CooBuilder b(3);
+  b.addDiag(0, 1e16);
+  b.addOffDiag(1, 2, 5.0);
+  b.addDiag(0, 1.0);
+  b.addDiag(2, 1e16);
+  b.addDiag(2, -1e16);
+  b.addDiag(0, -1e16);
+  b.addDiag(2, 1.0);
+  const Csr A = std::move(b).build();
+  ASSERT_EQ(A.start, (std::vector<std::int32_t>{0, 1, 2, 4}));
+  EXPECT_EQ(A.col, (std::vector<std::int32_t>{0, 2, 1, 2}));
+  EXPECT_EQ(A.val[0], 0.0);
+  EXPECT_EQ(A.val[3], 1.0);
+}
+
+TEST(Sparse, CsrEqualsDenseAccumulationWithColumnsAscending) {
+  // Random coordinates, most of them repeated, fed to the builder and to a
+  // dense matrix that sums in the same call order: the CSR holds exactly
+  // the touched coordinates, with the dense sums bit for bit.
+  const std::int32_t n = 37;
+  const auto un = static_cast<std::size_t>(n);
+  Rng rng(23);
+  CooBuilder b(n);
+  std::vector<double> dense(un * un, 0.0);
+  std::vector<bool> touched(un * un, false);
+  auto add = [&](std::int32_t i, std::int32_t j, double w) {
+    const std::size_t at = static_cast<std::size_t>(i) * un +
+                           static_cast<std::size_t>(j);
+    dense[at] += w;
+    touched[at] = true;
+  };
+  for (int k = 0; k < 40 * n; ++k) {
+    const auto i = static_cast<std::int32_t>(rng.below(un));
+    const auto j = static_cast<std::int32_t>(rng.below(un));
+    const double w = rng.uniform(-2.0, 2.0);
+    if (k % 2 == 0) {
+      b.addDiag(i, w);
+      add(i, i, w);
+    } else {
+      b.addOffDiag(i, j, w);
+      add(i, j, w);
+      add(j, i, w);
+    }
+  }
+  const Csr A = std::move(b).build();
+
+  ASSERT_EQ(A.start.size(), un + 1);
+  EXPECT_EQ(A.start.front(), 0);
+  std::size_t nnz = 0;
+  for (std::size_t r = 0; r < un; ++r) {
+    for (auto k = static_cast<std::size_t>(A.start[r]);
+         k < static_cast<std::size_t>(A.start[r + 1]); ++k) {
+      const auto c = static_cast<std::size_t>(A.col[k]);
+      if (k > static_cast<std::size_t>(A.start[r])) {
+        EXPECT_LT(A.col[k - 1], A.col[k]) << "row " << r;
+      }
+      ASSERT_TRUE(touched[r * un + c]) << r << "," << c;
+      EXPECT_EQ(A.val[k], dense[r * un + c]) << r << "," << c;
+    }
+  }
+  for (const bool t : touched) nnz += t ? 1 : 0;
+  EXPECT_EQ(A.col.size(), nnz);
+  EXPECT_EQ(A.val.size(), nnz);
+}
+
 TEST(Sparse, CgSolvesRandomSpdSystem) {
   // Diagonally dominant random symmetric system.
   const std::int32_t n = 30;
@@ -125,7 +194,7 @@ TEST(Sparse, PooledCgBitIdenticalToSerial) {
 
   std::vector<double> serial(static_cast<std::size_t>(n), 0.0);
   const auto ref = cgSolve(A, rhs, serial, 200, 1e-12);
-  for (const int threads : {2, 3, 4}) {
+  for (const int threads : {2, 3, 4, 7}) {
     ThreadPool pool(threads);
     std::vector<double> par(static_cast<std::size_t>(n), 0.0);
     const auto res = cgSolve(A, rhs, par, 200, 1e-12, &pool);

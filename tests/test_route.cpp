@@ -105,6 +105,25 @@ TEST(Routability, RefineReducesHotspotAndStaysLegal) {
   EXPECT_LT(res.hpwlAfter, 1.5 * res.hpwlBefore);
 }
 
+TEST(Routability, RefineNeverRaisesTheHotspotScore) {
+  // A round that makes congestion worse is undone, so the score returned
+  // is never above the input's, whatever the input placement.
+  RuntimeContext ctx;
+  for (const std::uint64_t seed : {12, 13, 14}) {
+    SCOPED_TRACE(seed);
+    GenSpec spec;
+    spec.name = "route";
+    spec.numCells = 500;
+    spec.locality = 0.9;
+    spec.seed = seed;
+    PlacementDB db = generateCircuit(spec);
+    runSupervisedFlow(db, {}, ctx, plainPolicy());
+    const RoutabilityResult res = routabilityDrivenRefine(db, ctx);
+    EXPECT_LE(res.hotspotAfter, res.hotspotBefore);
+    EXPECT_TRUE(res.legal);
+  }
+}
+
 TEST(Routability, NoMovableCellsIsNoop) {
   RuntimeContext ctx;
   PlacementDB db;
